@@ -28,6 +28,9 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		"dsud_site_replays_total", "Retried requests answered from the dedup cache without re-execution.",
 		"dsud_site_handle_seconds", "Request execution time at the site, by kind.",
 		"dsud_site_pruned_total", "Local skyline tuples discarded by Observation-2 feedback pruning.",
+		"dsud_site_sessions_expired_total", "Query sessions reaped after their lease ran out without an EndQuery.",
+		"dsud_site_skyline_cache_hits_total", "Inits answered from the cached local skyline of their subspace.",
+		"dsud_site_skyline_cache_misses_total", "Inits that searched the PR-tree for their local skyline.",
 	)
 	reg.GaugeFunc("dsud_site_tuples", func() float64 { return float64(e.Len()) })
 	reg.GaugeFunc("dsud_site_sessions", func() float64 { return float64(e.Sessions()) })
@@ -55,6 +58,8 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 	}
 	e.obsReplays = reg.Counter("dsud_site_replays_total")
 	e.obsPruned = reg.Counter("dsud_site_pruned_total")
+	e.obsExpired = reg.Counter("dsud_site_sessions_expired_total")
+	e.obsCacheHits = reg.Counter("dsud_site_skyline_cache_hits_total")
+	e.obsCacheMiss = reg.Counter("dsud_site_skyline_cache_misses_total")
 	e.obsOn = true
 }
-

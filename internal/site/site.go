@@ -14,6 +14,8 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +33,16 @@ import (
 // cap is rejected so a leaky coordinator cannot exhaust site memory.
 const MaxSessions = 128
 
+// sessionTTL is the session lease: a KindInit that finds the session table
+// full first reaps sessions untouched (no Init, Next or Evaluate) for
+// longer than this, so coordinators that vanish without KindEndQuery
+// cannot lock a site out of new queries until it restarts.
+const sessionTTL = 2 * time.Minute
+
+// maxSkylineCache bounds the local-skyline cache: one entry per canonical
+// subspace, and at most this many subspaces.
+const maxSkylineCache = 64
+
 // session is the per-query state created by KindInit.
 type session struct {
 	query transport.Query
@@ -44,6 +56,9 @@ type session struct {
 	// the session ends.
 	shipped int
 	start   int64 // UnixNano
+	// touched is the UnixNano of the last Next (Init ends in one) or
+	// Evaluate; the session lease (sessionTTL) runs from it.
+	touched int64
 	// queryID is the trace-derived query identifier the session was
 	// initialised under (0 = untraced), for flight-record correlation.
 	queryID uint64
@@ -59,6 +74,12 @@ type Engine struct {
 	index    *prtree.Tree
 	sessions map[uint64]*session
 
+	// skyCache maps a canonical subspace (skylineKey) to SKY(D_i) at the
+	// lowest threshold searched so far. Local skyline probabilities (eq. 3)
+	// do not depend on q, so for any q' >= floor, SKY(D_i, q') is exactly
+	// the cached prefix with Prob >= q'. Cleared on every index mutation.
+	skyCache map[string]skylineEntry
+
 	// replica mirrors the coordinator's global skyline SKY(H) (§5.4);
 	// nil when replication is off.
 	replica map[uncertain.TupleID]uncertain.Tuple
@@ -71,11 +92,14 @@ type Engine struct {
 
 	// Observability hooks, populated by Instrument; zero-valued (and paid
 	// for by a single flag check) when the engine is uninstrumented.
-	obsOn      bool
-	obsReqs    [maxKind + 1]*obs.Counter
-	obsLat     [maxKind + 1]*obs.Histogram
-	obsReplays *obs.Counter
-	obsPruned  *obs.Counter
+	obsOn        bool
+	obsReqs      [maxKind + 1]*obs.Counter
+	obsLat       [maxKind + 1]*obs.Histogram
+	obsReplays   *obs.Counter
+	obsPruned    *obs.Counter
+	obsExpired   *obs.Counter
+	obsCacheHits *obs.Counter
+	obsCacheMiss *obs.Counter
 
 	// cur collects the spans of the in-flight sampled request (nil for
 	// untraced requests; e.mu serialises dispatch, so one slot suffices).
@@ -144,6 +168,14 @@ type dedupState struct {
 	floor uint64
 }
 
+// skylineEntry is one cached local skyline: the LocalSkyline result at
+// threshold floor, sorted by descending probability (ties: ascending ID).
+// Its members are never mutated; sessions get copies of its prefixes.
+type skylineEntry struct {
+	floor float64
+	sky   []uncertain.SkylineMember
+}
+
 type dedupOutcome struct {
 	resp *transport.Response
 	err  error
@@ -185,6 +217,7 @@ func New(id int, part uncertain.DB, dims, capacity int) *Engine {
 		id:       id,
 		index:    prtree.Bulk(part, dims, capacity),
 		sessions: make(map[uint64]*session),
+		skyCache: make(map[string]skylineEntry),
 		dedup:    make(map[uint64]*dedupState),
 		start:    time.Now(),
 		win:      obs.NewWindow(obs.DefWindowWidth),
@@ -334,24 +367,78 @@ func (e *Engine) dispatch(req *transport.Request) (*transport.Response, error) {
 
 // handleInit runs the local computing phase: compute SKY(D_i) with the
 // PR-tree's threshold-aware BBS search, sort by descending local skyline
-// probability, and hand out the first representative.
+// probability, and hand out the first representative. The search result is
+// cached per subspace (see localSkyline).
 func (e *Engine) handleInit(req *transport.Request) (*transport.Response, error) {
 	if err := req.Query.Validate(e.index.Dims()); err != nil {
 		return nil, fmt.Errorf("site %d: %w", e.id, err)
 	}
+	now := time.Now().UnixNano()
 	if _, exists := e.sessions[req.Session]; !exists && len(e.sessions) >= MaxSessions {
-		return nil, fmt.Errorf("site %d: session limit (%d) reached", e.id, MaxSessions)
+		e.reapIdleSessions(now)
+		if len(e.sessions) >= MaxSessions {
+			return nil, fmt.Errorf("site %d: session limit (%d) reached", e.id, MaxSessions)
+		}
 	}
-	sp := e.startSpan("prtree-search")
-	sky := e.index.LocalSkyline(req.Query.Threshold, req.Query.Dims)
-	sp.end(int64(len(sky)), 0)
 	e.sessions[req.Session] = &session{
 		query:   req.Query,
-		sky:     sky,
-		start:   time.Now().UnixNano(),
+		sky:     e.localSkyline(req.Query.Threshold, req.Query.Dims),
+		start:   now,
 		queryID: req.Trace.TraceID,
 	}
 	return e.handleNext(req)
+}
+
+// localSkyline returns a private copy of SKY(D_i, q) in dims. A cached
+// search at a threshold floor <= q answers with its prefix of members
+// with Prob >= q; otherwise the PR-tree is searched and the result becomes
+// the subspace's new floor. The copy matters: Observation-2 pruning
+// compacts a session's slice in place.
+func (e *Engine) localSkyline(q float64, dims []int) []uncertain.SkylineMember {
+	key := skylineKey(dims, e.index.Dims())
+	if ent, ok := e.skyCache[key]; ok && ent.floor <= q {
+		sp := e.startSpan("skyline-cache-hit")
+		n := sort.Search(len(ent.sky), func(i int) bool { return ent.sky[i].Prob < q })
+		sp.end(int64(n), 0)
+		e.obsCacheHits.Inc()
+		return slices.Clone(ent.sky[:n])
+	}
+	e.obsCacheMiss.Inc()
+	sp := e.startSpan("prtree-search")
+	sky := e.index.LocalSkyline(q, dims)
+	sp.end(int64(len(sky)), 0)
+	if _, ok := e.skyCache[key]; !ok && len(e.skyCache) >= maxSkylineCache {
+		for k := range e.skyCache {
+			delete(e.skyCache, k)
+			break
+		}
+	}
+	e.skyCache[key] = skylineEntry{floor: q, sky: sky}
+	return slices.Clone(sky)
+}
+
+// skylineKey canonicalises a validated subspace for the skyline cache:
+// sorted dims, with nil and the explicit full space as one key. Sharing
+// is bit-exact because dominance ignores the order of dims and
+// CrossSkyProb multiplies in tree order, not dims order.
+func skylineKey(dims []int, d int) string {
+	if dims == nil || len(dims) == d {
+		return ""
+	}
+	sorted := slices.Clone(dims)
+	slices.Sort(sorted)
+	return fmt.Sprint(sorted)
+}
+
+// reapIdleSessions drops sessions whose lease (sessionTTL) has run out.
+// Caller holds e.mu.
+func (e *Engine) reapIdleSessions(now int64) {
+	for id, s := range e.sessions {
+		if now-s.touched > int64(sessionTTL) {
+			delete(e.sessions, id)
+			e.obsExpired.Inc()
+		}
+	}
 }
 
 // handleNext pops the most promising remaining local skyline tuple.
@@ -360,6 +447,7 @@ func (e *Engine) handleNext(req *transport.Request) (*transport.Response, error)
 	if s == nil {
 		return nil, fmt.Errorf("site %d: Next before Init (session %d)", e.id, req.Session)
 	}
+	s.touched = time.Now().UnixNano()
 	if len(s.sky) == 0 {
 		return &transport.Response{Exhausted: true}, nil
 	}
@@ -413,6 +501,7 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 	dims := req.Query.Dims
 	if s != nil {
 		dims = s.query.Dims
+		s.touched = time.Now().UnixNano()
 	}
 	cp := e.startSpan("cross-prob")
 	cross := e.index.CrossSkyProb(feed.Tuple, dims)
@@ -461,6 +550,7 @@ func (e *Engine) handleInsert(req *transport.Request) (*transport.Response, erro
 		return nil, fmt.Errorf("site %d: bad insert: %w", e.id, err)
 	}
 	e.index.Insert(req.Tuple)
+	clear(e.skyCache)
 	e.lastUpdate.Store(time.Now().UnixNano())
 	local := e.index.SkyProb(req.Tuple, req.Query.Dims)
 	resp := &transport.Response{
@@ -510,6 +600,7 @@ func (e *Engine) handleDelete(req *transport.Request) (*transport.Response, erro
 	if err := e.index.Delete(req.ID, req.Point); err != nil {
 		return nil, fmt.Errorf("site %d: delete %d: %w", e.id, req.ID, err)
 	}
+	clear(e.skyCache)
 	e.lastUpdate.Store(time.Now().UnixNano())
 	return &transport.Response{}, nil
 }
