@@ -104,8 +104,8 @@ func main() {
 	// dsud_site_frames_total / dsud_site_frame_bytes_total broken down by
 	// direction and frame type. Counters are pre-registered per type so
 	// the per-frame tap is an array index and two atomic adds. (Frame
-	// payloads are not captured here — the gob streams are stateful per
-	// connection; transcript capture happens at the coordinator.)
+	// payloads are not captured here; transcript capture happens at the
+	// coordinator, which knows each call's query and site.)
 	type frameCtr struct{ frames, bytes *obs.Counter }
 	frameCtrs := func(dir string) [8]frameCtr {
 		var c [8]frameCtr

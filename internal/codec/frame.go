@@ -12,7 +12,9 @@ package codec
 //	version u8       — FrameVersion
 //	type    u8       — FrameRequest | FrameResponse | FrameCancel
 //	id      u64 LE   — request identifier, echoed on the response
-//	payload bytes    — opaque body (the transport's gob message)
+//	payload bytes    — opaque body (a transport Request or Response in
+//	                   its hand-written payload codec, or a frame-type
+//	                   specific body)
 //	crc32   u32 LE   — IEEE CRC of version..payload
 //
 // A connection opts into v2 with a 5-byte handshake (MuxHandshake): the
@@ -29,9 +31,14 @@ import (
 	"io"
 )
 
-// FrameVersion is the wire protocol generation carried in every frame
-// and in the handshake (v1 is the unframed gob protocol).
-const FrameVersion = 2
+// FrameVersion is carried in every frame and in the handshake, and
+// changes whenever the frame or payload encoding does, so a peer built
+// for another encoding is refused at the handshake instead of
+// misparsing. 2 carried a persistent per-connection gob stream inside
+// the frames; 3 carries self-contained, hand-encoded Request/Response
+// payloads. (The framed protocol as a whole is "wire v2"; v1 is the
+// unframed gob protocol.)
+const FrameVersion = 3
 
 // MuxMagic opens the v2 handshake. The leading 0xD5 is outside both
 // ranges a gob stream can start with, so the two protocols cannot be
@@ -49,11 +56,11 @@ type FrameType uint8
 
 // Frame types.
 const (
-	// FrameRequest carries one gob-encoded request; id is
+	// FrameRequest carries one encoded transport request; id is
 	// caller-assigned and unique per in-flight request.
 	FrameRequest FrameType = 1
-	// FrameResponse carries one gob-encoded response; id echoes the
-	// request it answers.
+	// FrameResponse carries one encoded transport response; id echoes
+	// the request it answers.
 	FrameResponse FrameType = 2
 	// FrameCancel tells the peer the identified request was abandoned;
 	// it has no payload and receives no reply. Best-effort: the

@@ -13,10 +13,9 @@ package codec
 // Unknown frame types are padding — a reader skips them — so future
 // recorders can add annotation frames without breaking old replayers,
 // the same forward-compat contract the v2 mux frames carry. Message
-// payloads (the gob-encoded Request/Response bodies) ride as opaque
-// blobs: each is encoded with a fresh gob encoder so it is decodable
-// standalone, unlike the stateful per-connection gob stream the live
-// transport runs.
+// payloads ride as opaque blobs: each is one Request or Response in the
+// transport's wire-v2 payload codec, the same bytes the live connection
+// carries inside its frames.
 //
 // The format is deliberately self-contained: TranscriptHeader carries
 // everything needed to re-run the query (algorithm, threshold, dims,
@@ -36,8 +35,10 @@ import (
 // and is bumped on incompatible layout changes.
 var TranscriptMagic = [4]byte{'D', 'S', 'T', 'R'}
 
-// TranscriptVersion is the transcript format generation.
-const TranscriptVersion = 1
+// TranscriptVersion is the transcript format generation. Version 1
+// stored gob-encoded message payloads; version 2 stores the wire-v2
+// payload codec.
+const TranscriptVersion = 2
 
 // TranscriptFrameType discriminates transcript frames.
 type TranscriptFrameType uint8

@@ -229,11 +229,7 @@ func TestReplayDetectsTampering(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Feed.Tuple.ID += 1 << 40
-		blob, err := transcript.EncodeRequest(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Payload = blob
+		m.Payload = transcript.EncodeRequest(req)
 		tampered = true
 		break
 	}

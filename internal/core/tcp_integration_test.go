@@ -76,6 +76,34 @@ func TestTCPClusterMatchesLocal(t *testing.T) {
 	}
 }
 
+// A query's wire bytes must not depend on the random session-ID base:
+// the payload codec writes session IDs at a fixed 8 bytes, so clusters
+// whose bases differ in the top byte bill the same query identically.
+func TestWireBytesIndependentOfSessionBase(t *testing.T) {
+	parts, _ := makeWorkload(t, 400, 3, 3, gen.Anticorrelated, 63)
+	addrs := startTCPSites(t, parts, 3)
+	for _, algo := range []Algorithm{DSUD, EDSUD} {
+		var bytes []int64
+		for _, base := range []uint64{0x0000_1234_5678_9abc, 0xffff_ffff_ffff_0000} {
+			cluster, err := NewRemoteCluster(addrs, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster.sessionBase = base
+			rep, err := Run(context.Background(), cluster, Options{Threshold: 0.3, Algorithm: algo})
+			cluster.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes = append(bytes, rep.Bandwidth.Bytes)
+		}
+		if bytes[0] != bytes[1] || bytes[0] == 0 {
+			t.Errorf("%v: %d wire bytes with a zero top byte in the session base, %d with all top bits set",
+				algo, bytes[0], bytes[1])
+		}
+	}
+}
+
 func TestTCPMaintainer(t *testing.T) {
 	parts, union := makeWorkload(t, 200, 2, 3, gen.Independent, 62)
 	addrs := startTCPSites(t, parts, 2)

@@ -188,8 +188,8 @@ func materializedBatch(ctx context.Context, addrs []string, clients, batch int) 
 // throughputBatch drains a batch of identical queries through one shared
 // cluster with the given number of client goroutines and returns the
 // completed-query rate. One unmeasured warmup query establishes the
-// connections (and, over the mux, the per-connection gob type
-// descriptors) before the clock starts.
+// connections (and, over v1, the per-connection gob type descriptors)
+// before the clock starts.
 func throughputBatch(ctx context.Context, addrs []string, clients, batch int, disableMux bool) (float64, error) {
 	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: DefaultDims, DisableMux: disableMux})
 	if err != nil {

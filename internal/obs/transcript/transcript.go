@@ -13,8 +13,6 @@
 package transcript
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,39 +86,36 @@ func PhaseName(p uint8) string {
 	}
 }
 
-// EncodeRequest gob-encodes req as a standalone blob (fresh encoder:
-// unlike the live connection's stateful gob stream, every transcript
-// payload is decodable on its own).
-func EncodeRequest(req *transport.Request) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(req); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+// EncodeRequest encodes req as a standalone blob in the wire-v2
+// payload codec (transport.AppendRequest).
+func EncodeRequest(req *transport.Request) []byte {
+	return transport.AppendRequest(nil, req)
 }
 
-// EncodeResponse gob-encodes resp as a standalone blob.
-func EncodeResponse(resp *transport.Response) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(resp); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+// EncodeResponse encodes resp as a standalone blob in the wire-v2
+// payload codec (transport.AppendResponse).
+func EncodeResponse(resp *transport.Response) []byte {
+	return transport.AppendResponse(nil, resp, "")
 }
 
 // DecodeRequest decodes a standalone request blob.
 func DecodeRequest(data []byte) (*transport.Request, error) {
 	var req transport.Request
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+	if err := transport.DecodeRequest(data, &req); err != nil {
 		return nil, fmt.Errorf("transcript: request payload: %w", err)
 	}
 	return &req, nil
 }
 
-// DecodeResponse decodes a standalone response blob.
+// DecodeResponse decodes a standalone response blob. Only successful
+// calls are recorded, so a blob carrying a handler error is malformed.
 func DecodeResponse(data []byte) (*transport.Response, error) {
 	var resp transport.Response
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp); err != nil {
+	msg, err := transport.DecodeResponse(data, &resp)
+	if err == nil && msg != "" {
+		err = fmt.Errorf("handler error %q in a recorded response", msg)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("transcript: response payload: %w", err)
 	}
 	return &resp, nil
@@ -138,9 +133,9 @@ type Recorder struct {
 	mu       sync.Mutex
 	buf      []byte // preamble + header + message frames, encoded
 	scratch  []byte // reused message-body encode buffer
+	blob     []byte // reused request/response payload encode buffer
 	ordinals []int64
 	messages int64
-	err      error // first capture failure; poisons the transcript
 }
 
 // NewRecorder starts a transcript for the query described by h. start
@@ -161,24 +156,6 @@ func (r *Recorder) RecordCall(site int, req *transport.Request, resp *transport.
 		return
 	}
 	tnano := time.Since(r.start).Nanoseconds()
-	reqBlob, err := EncodeRequest(req)
-	if err == nil {
-		var respBlob []byte
-		respBlob, err = EncodeResponse(resp)
-		if err == nil {
-			r.record(site, req.Kind, tnano, wireBytes, reqBlob, respBlob)
-			return
-		}
-	}
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = fmt.Errorf("transcript: capture site %d %v: %w", site, req.Kind, err)
-	}
-	r.mu.Unlock()
-}
-
-func (r *Recorder) record(site int, kind transport.Kind, tnano, wireBytes int64, reqBlob, respBlob []byte) {
-	phase := PhaseOf(kind)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for site >= len(r.ordinals) {
@@ -186,20 +163,22 @@ func (r *Recorder) record(site int, kind transport.Kind, tnano, wireBytes int64,
 	}
 	ordinal := r.ordinals[site]
 	r.ordinals[site]++
+	r.blob = transport.AppendRequest(r.blob[:0], req)
 	m := codec.TranscriptMessage{
 		Dir:     codec.TranscriptDirRequest,
-		Phase:   phase,
-		Kind:    int64(kind),
+		Phase:   PhaseOf(req.Kind),
+		Kind:    int64(req.Kind),
 		Site:    int64(site),
 		Ordinal: ordinal,
 		TNano:   tnano,
-		Payload: reqBlob,
+		Payload: r.blob,
 	}
 	r.scratch = codec.AppendTranscriptMessage(r.scratch[:0], &m)
 	r.buf = codec.AppendTranscriptFrame(r.buf, codec.TranscriptMessageFrame, r.scratch)
 	m.Dir = codec.TranscriptDirResponse
 	m.WireBytes = wireBytes
-	m.Payload = respBlob
+	r.blob = transport.AppendResponse(r.blob[:0], resp, "")
+	m.Payload = r.blob
 	r.scratch = codec.AppendTranscriptMessage(r.scratch[:0], &m)
 	r.buf = codec.AppendTranscriptFrame(r.buf, codec.TranscriptMessageFrame, r.scratch)
 	r.messages += 2
@@ -213,16 +192,6 @@ func (r *Recorder) Messages() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.messages
-}
-
-// Err returns the first capture failure, if any.
-func (r *Recorder) Err() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
 }
 
 // Bytes seals the transcript — appending the summary frame when sum is
@@ -332,9 +301,6 @@ func (s *Sink) Finish(rec *Recorder, h *codec.TranscriptHeader, sum *codec.Trans
 	if qerr != nil {
 		entry.Error = qerr.Error()
 	}
-	if cerr := rec.Err(); cerr != nil && entry.Error == "" {
-		entry.Error = cerr.Error()
-	}
 	var path string
 	var werr error
 	if s.dir != "" {
@@ -350,7 +316,7 @@ func (s *Sink) Finish(rec *Recorder, h *codec.TranscriptHeader, sum *codec.Trans
 		}
 	}
 	entry.Path = path
-	if werr != nil || rec.Err() != nil {
+	if werr != nil {
 		s.failed.Add(1)
 	} else {
 		s.recorded.Add(1)

@@ -2,9 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -95,13 +93,11 @@ func DialAuto(addr string, meter *Meter) (Client, error) {
 type MuxClient struct {
 	conn net.Conn
 
-	// wmu serialises the encode→frame→write path. The gob stream is
-	// per-connection (type descriptors sent once, not once per frame),
-	// so encoding order must match write order.
-	wmu    sync.Mutex
-	encBuf bytes.Buffer
-	enc    *gob.Encoder
-	wbuf   []byte
+	// wmu serialises the encode→frame→write path over the reused
+	// payload and frame buffers.
+	wmu     sync.Mutex
+	payload []byte
+	wbuf    []byte
 
 	nextID atomic.Uint64
 
@@ -148,24 +144,8 @@ type muxResult struct {
 // Most callers want DialAuto; this exists for tests and custom dialers.
 func NewMuxClient(conn net.Conn) *MuxClient {
 	c := &MuxClient{conn: conn, pending: make(map[uint64]chan muxResult)}
-	c.enc = gob.NewEncoder(&c.encBuf)
 	go c.readLoop()
 	return c
-}
-
-// payloadReader feeds successive frame payloads to the persistent gob
-// decoder. Each Decode consumes exactly the bytes the peer's Encode
-// produced (they share one logical stream), so running dry mid-message
-// means the stream is corrupt.
-type payloadReader struct{ buf []byte }
-
-func (p *payloadReader) Read(b []byte) (int, error) {
-	if len(p.buf) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	n := copy(b, p.buf)
-	p.buf = p.buf[n:]
-	return n, nil
 }
 
 // readLoop is the demux goroutine: it decodes response frames and
@@ -173,8 +153,6 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 // every in-flight call fails with it, and subsequent calls are refused
 // until the owner (usually a Retry client) discards and redials.
 func (c *MuxClient) readLoop() {
-	pr := &payloadReader{}
-	dec := gob.NewDecoder(pr)
 	for {
 		fr, n, err := codec.ReadFrame(c.conn)
 		if err != nil {
@@ -193,18 +171,17 @@ func (c *MuxClient) readLoop() {
 		if fr.Type != codec.FrameResponse {
 			continue // unknown frame types are ignorable padding
 		}
-		pr.buf = fr.Payload
-		var wresp wireResponse
-		if err := dec.Decode(&wresp); err != nil {
+		resp := new(Response)
+		errMsg, err := DecodeResponse(fr.Payload, resp)
+		if err != nil {
 			c.fail(fmt.Errorf("%w: decode: %v", errMuxBroken, err))
 			return
 		}
 		res := muxResult{bytes: int64(n)}
-		if wresp.Err != "" {
-			res.err = errors.New(wresp.Err)
+		if errMsg != "" {
+			res.err = errors.New(errMsg)
 		} else {
-			resp := wresp.Resp
-			res.resp = &resp
+			res.resp = resp
 		}
 		c.mu.Lock()
 		ch := c.pending[fr.ID]
@@ -328,19 +305,15 @@ func (c *MuxClient) CallBytes(ctx context.Context, req *Request) (*Response, int
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	c.encBuf.Reset()
-	err := c.enc.Encode(&wireRequest{Req: *req})
-	var reqBytes int64
-	if err == nil {
-		c.wbuf = codec.AppendFrame(c.wbuf[:0], codec.FrameRequest, id, c.encBuf.Bytes())
-		reqBytes = int64(len(c.wbuf))
-		_, err = c.conn.Write(c.wbuf)
-	}
+	c.payload = AppendRequest(c.payload[:0], req)
+	c.wbuf = codec.AppendFrame(c.wbuf[:0], codec.FrameRequest, id, c.payload)
+	reqBytes := int64(len(c.wbuf))
+	_, err := c.conn.Write(c.wbuf)
 	c.wmu.Unlock()
 	if err != nil {
 		c.forget(id)
-		// A failed send leaves the shared gob stream in an unknown
-		// state; the connection is unusable for everyone.
+		// A failed send may leave a partial frame on the wire; the
+		// connection is unusable for everyone.
 		c.fail(fmt.Errorf("%w: send: %v", errMuxBroken, err))
 		return nil, 0, fmt.Errorf("transport: send: %w", err)
 	}
@@ -390,10 +363,8 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 	defer s.muxConns.Add(-1)
 
 	var (
-		// mw serialises the shared response gob stream + frame writes,
-		// shared with this connection's telemetry publishers.
-		mw     = &muxWriter{w: w}
-		encBuf bytes.Buffer
+		// mw serialises response and telemetry frame writes.
+		mw = &muxWriter{w: w}
 
 		// imu guards the in-flight table consulted by FrameCancel and the
 		// telemetry-subscription table it also serves.
@@ -404,9 +375,6 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 		wg  sync.WaitGroup
 		sem = make(chan struct{}, limit)
 	)
-	enc := gob.NewEncoder(&encBuf)
-	pr := &payloadReader{}
-	dec := gob.NewDecoder(pr)
 	connCtx, connCancel := context.WithCancel(context.Background())
 	defer connCancel()
 	// Drain contract (see Shutdown): when the read loop exits, requests
@@ -470,10 +438,9 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 		default:
 			continue // unknown frame types are ignorable padding
 		}
-		pr.buf = fr.Payload
-		var wreq wireRequest
-		if err := dec.Decode(&wreq); err != nil {
-			return // the shared gob stream is corrupt; the connection is done
+		req := new(Request)
+		if err := DecodeRequest(fr.Payload, req); err != nil {
+			return // a malformed payload: the connection is done
 		}
 		// A full pool parks this read loop on sem; the queued gauge is
 		// what makes that saturation visible to /statusz before clients
@@ -487,7 +454,7 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 		inflight[fr.ID] = cancel
 		imu.Unlock()
 		wg.Add(1)
-		go func(id uint64, req Request, ctx context.Context, cancel context.CancelFunc) {
+		go func(id uint64, req *Request, ctx context.Context, cancel context.CancelFunc) {
 			defer wg.Done()
 			defer func() { <-sem; s.busyWorkers.Add(-1) }()
 			defer func() {
@@ -496,27 +463,19 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
 				imu.Unlock()
 				cancel()
 			}()
-			resp, err := s.handler.Handle(ctx, &req)
-			var wresp wireResponse
+			resp, err := s.handler.Handle(ctx, req)
+			var errMsg string
 			if err != nil {
-				wresp.Err = err.Error()
-			} else if resp != nil {
-				wresp.Resp = *resp
+				resp, errMsg = nil, err.Error()
 			}
 			if ctx.Err() != nil {
 				return // cancelled: the client has already abandoned the slot
 			}
-			mw.mu.Lock()
-			encBuf.Reset()
-			if enc.Encode(&wresp) == nil {
-				mw.buf = codec.AppendFrame(mw.buf[:0], codec.FrameResponse, id, encBuf.Bytes())
-				mw.w.Write(mw.buf)
-				if tap != nil {
-					tap(TapOutbound, codec.FrameResponse, len(mw.buf))
-				}
+			n := mw.writeResponse(id, resp, errMsg)
+			if tap != nil {
+				tap(TapOutbound, codec.FrameResponse, n)
 			}
-			mw.mu.Unlock()
-		}(fr.ID, wreq.Req, reqCtx, cancel)
+		}(fr.ID, req, reqCtx, cancel)
 		if s.draining.Load() {
 			return // stop reading; the deferred wg.Wait answers in-flight work
 		}

@@ -135,12 +135,13 @@ func (s *Server) TelemetryStats() TelemetryStats {
 }
 
 // muxWriter serialises every frame write on one v2 connection: response
-// frames (whose gob encoding must happen in write order under the same
-// lock) and telemetry pushes. The frame buffer is reused across writes.
+// frames and telemetry pushes. The payload and frame buffers are reused
+// across writes.
 type muxWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
+	mu      sync.Mutex
+	w       io.Writer
+	payload []byte
+	buf     []byte
 }
 
 // writeFrame frames payload and writes it. The payload is built by the
@@ -152,6 +153,18 @@ func (mw *muxWriter) writeFrame(t codec.FrameType, id uint64, payload []byte) er
 	_, err := mw.w.Write(mw.buf)
 	mw.mu.Unlock()
 	return err
+}
+
+// writeResponse encodes, frames and writes one response, returning the
+// frame's wire size. Encoding under the lock into the reused payload
+// buffer keeps a steady-state response allocation-free.
+func (mw *muxWriter) writeResponse(id uint64, resp *Response, errMsg string) int {
+	mw.mu.Lock()
+	defer mw.mu.Unlock()
+	mw.payload = AppendResponse(mw.payload[:0], resp, errMsg)
+	mw.buf = codec.AppendFrame(mw.buf[:0], codec.FrameResponse, id, mw.payload)
+	mw.w.Write(mw.buf)
+	return len(mw.buf)
 }
 
 // telemetryPublisher is one subscription's push state: double-buffered

@@ -81,6 +81,9 @@ func TestMuxTelemetrySubscription(t *testing.T) {
 			t.Fatalf("push %d: slo %q", i, p.slo)
 		}
 	}
+	// The publisher counts a push after its write returns, so the third
+	// push can reach us before the server's counter does.
+	waitFor(t, time.Second, func() bool { return srv.TelemetryStats().Pushes >= 3 })
 	if st := srv.TelemetryStats(); st.Subscribers != 1 || st.Pushes < 3 || st.LastPushUnixNano == 0 {
 		t.Fatalf("TelemetryStats = %+v", st)
 	}

@@ -2,7 +2,8 @@
 // H and the local sites. Two interchangeable implementations are provided:
 // an in-process transport (goroutine sites, used by the experiment harness
 // so tuple accounting is exact and runs are fast) and a real TCP transport
-// with gob framing (used by the cmd/dsud-site daemon). A Meter counts the
+// (used by the cmd/dsud-site daemon): framed wire v2 with a hand-written
+// payload codec (wire.go), or the legacy v1 gob stream. A Meter counts the
 // paper's bandwidth measure — tuples shipped — plus message and byte
 // totals.
 package transport
@@ -22,7 +23,7 @@ import (
 type Kind int
 
 // Protocol request kinds. One request type with optional payload fields
-// keeps gob encoding trivial (no interface registration) while staying
+// keeps the codecs trivial (no interface registration) while staying
 // explicit about the protocol surface.
 const (
 	// KindInit asks a site to run its local skyline phase for the given
@@ -161,9 +162,9 @@ type Request struct {
 
 	// Trace is the distributed-tracing context (zero value = untraced).
 	// When Trace.Sampled is set the site times its phases and piggybacks
-	// the completed spans on Response.TraceBlob. Gob encodes by field
-	// name, so peers that predate this field interoperate: they simply
-	// see (or send) the untraced zero value.
+	// the completed spans on Response.TraceBlob. On the v1 gob stream,
+	// which encodes by field name, peers that predate this field
+	// interoperate: they simply see (or send) the untraced zero value.
 	Trace obs.TraceContext
 
 	Kind  Kind
@@ -227,7 +228,9 @@ type Response struct {
 
 // SiteStatus is one site's operational snapshot, answered to KindStatus
 // and served as JSON at /statusz. Field names are wire-stable: the
-// struct crosses both gob (protocol) and JSON (ops endpoints).
+// struct crosses gob (the v1 protocol) and JSON (ops endpoints). A field
+// added here also needs a slot in the v2 payload codec (fieldsOf in
+// wire.go); TestWireRoundTripMatchesGob fails until it has one.
 type SiteStatus struct {
 	// ID is the site index the daemon was started with.
 	ID int `json:"id"`
