@@ -41,12 +41,12 @@ bench-baseline:
 
 # Compare the latest artifact against the committed baseline with the
 # CI thresholds (tight on counts, loose on cross-machine wall time, a
-# loose floor on the mux-over-serial throughput speedup — locally the
-# margin at 8 clients is >2x, but shared CI runners are noisy — the
+# loose floor on mux scaling — q/s at 8 clients over q/s at 1 client,
+# 6.1-7.4x on a 2-CPU box, but shared CI runners are noisy — the
 # materialized-serving-over-mux floor, and the progressiveness gate on
 # the deterministic bandwidth AUC).
 benchdiff: bench-json
-	$(GO) run ./cmd/dsud-benchdiff -time-threshold 10 -min-mux-speedup 1.5 -min-serve-speedup 5 -max-auc-regress 0.05 testdata/bench-baseline.json BENCH_dsud.json
+	$(GO) run ./cmd/dsud-benchdiff -time-threshold 10 -min-mux-speedup 2.5 -min-serve-speedup 5 -max-auc-regress 0.05 testdata/bench-baseline.json BENCH_dsud.json
 
 # Short open-loop soak against self-hosted loopback sites with the
 # online auditor sampling; merges the latency{p50,p95,p99} section into

@@ -35,7 +35,7 @@ func run() int {
 		timeThreshold   = flag.Float64("time-threshold", 0.25, "relative significance floor for wall-time metrics")
 		cvScale         = flag.Float64("cv-scale", 3, "noise scaling: limit = max(floor, cv-scale × max CV)")
 		quiet           = flag.Bool("quiet", false, "suppress the markdown table; exit status only")
-		minMuxSpeedup   = flag.Float64("min-mux-speedup", 0, "fail unless the new artifact's highest-concurrency throughput shows at least this mux-over-serial speedup (0 = no gate)")
+		minMuxSpeedup   = flag.Float64("min-mux-speedup", 0, "fail unless the new artifact's highest-concurrency mux throughput is at least this multiple of its lowest-concurrency mux throughput (0 = no gate)")
 		maxP99Regress   = flag.Float64("max-p99-regress", 0, "fail when the soak p99 latency median regressed by more than this relative amount, e.g. 0.25 = 25% (0 = no gate; requires a soak section in both artifacts)")
 		maxAUCRegress   = flag.Float64("max-auc-regress", 0, "fail when any algorithm's bandwidth-AUC median dropped by more than this relative amount, e.g. 0.05 = 5% (0 = no gate; requires a progressiveness section in both artifacts)")
 		minServeSpeedup = flag.Float64("min-serve-speedup", 0, "fail unless the new artifact's highest-concurrency throughput shows at least this materialized-over-mux speedup (0 = no gate)")
@@ -88,12 +88,12 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "dsud-benchdiff: -min-mux-speedup: new artifact carries no throughput section (run dsud-bench with -concurrency)\n")
 			return 2
 		case tr.Speedup < *minMuxSpeedup:
-			fmt.Fprintf(os.Stderr, "dsud-benchdiff: mux speedup %.2fx at %d client(s) is below the %.2fx gate\n",
+			fmt.Fprintf(os.Stderr, "dsud-benchdiff: mux scaling %.2fx at %d client(s) is below the %.2fx gate\n",
 				tr.Speedup, tr.Concurrency, *minMuxSpeedup)
 			status = 1
 		default:
 			if !*quiet {
-				fmt.Printf("\nmux throughput gate: %.2fx at %d client(s) ≥ %.2fx ✔\n",
+				fmt.Printf("\nmux scaling gate: %.2fx at %d client(s) ≥ %.2fx ✔\n",
 					tr.Speedup, tr.Concurrency, *minMuxSpeedup)
 			}
 		}

@@ -26,7 +26,7 @@ type (
 	Cluster = core.Cluster
 	// ClusterConfig describes a cluster for Connect: where the sites are
 	// (in-process Partitions or remote TCP Addrs — exactly one), the data
-	// dimensionality, transport behaviour (RetryAttempts, DisableMux) and
+	// dimensionality, transport behaviour (RetryAttempts) and
 	// observability attachments (Logger, Metrics, FlightRecorder).
 	ClusterConfig = core.ClusterConfig
 	// QueryStats aggregates one query's observability record: the
@@ -105,9 +105,8 @@ var (
 
 // Connect validates cfg and builds the cluster: one in-process site
 // engine per cfg.Partitions entry, or one TCP connection per cfg.Addrs
-// daemon. Remote connections negotiate the multiplexed v2 wire protocol
-// and fall back per site to the legacy protocol when a daemon predates
-// it. Close the cluster when done.
+// daemon. Remote connections speak the multiplexed wire protocol. Close
+// the cluster when done.
 func Connect(cfg ClusterConfig) (*Cluster, error) {
 	return core.Open(cfg)
 }

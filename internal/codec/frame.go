@@ -1,12 +1,10 @@
 package codec
 
-// Wire protocol v2 frames. The v1 site protocol is a bare gob stream —
-// one request, one response, strictly alternating — which forces one
-// in-flight RPC per connection. v2 wraps each message in a
-// length-prefixed frame carrying a request ID, so many RPCs can be
-// pipelined over a single TCP connection and responses may return out
-// of order. The layout reuses this package's conventions (version byte
-// up front, CRC-32 trailer):
+// Wire protocol v2 frames. Each message travels in a length-prefixed
+// frame carrying a request ID, so many RPCs can be pipelined over a
+// single TCP connection and responses may return out of order. The
+// layout reuses this package's conventions (version byte up front,
+// CRC-32 trailer):
 //
 //	length  u32 LE   — byte count of everything after this field
 //	version u8       — FrameVersion
@@ -17,11 +15,9 @@ package codec
 //	                   specific body)
 //	crc32   u32 LE   — IEEE CRC of version..payload
 //
-// A connection opts into v2 with a 5-byte handshake (MuxHandshake): the
-// magic's first byte 0xD5 can never begin a gob stream (gob message
-// lengths start 0x00–0x7F or 0xF8–0xFF), so a v2 hello is unambiguous
-// to a server, and a v1-only server rejects it immediately rather than
-// hanging — the client then falls back to the gob protocol.
+// A connection opens with a 5-byte handshake (MuxHandshake) that the
+// server echoes; a server that reads any other opener closes the
+// connection unanswered.
 
 import (
 	"encoding/binary"
@@ -36,19 +32,16 @@ import (
 // for another encoding is refused at the handshake instead of
 // misparsing. 2 carried a persistent per-connection gob stream inside
 // the frames; 3 carries self-contained, hand-encoded Request/Response
-// payloads. (The framed protocol as a whole is "wire v2"; v1 is the
-// unframed gob protocol.)
+// payloads. (The framed protocol as a whole is "wire v2".)
 const FrameVersion = 3
 
-// MuxMagic opens the v2 handshake. The leading 0xD5 is outside both
-// ranges a gob stream can start with, so the two protocols cannot be
-// confused on the wire.
-var MuxMagic = [4]byte{0xD5, 'S', 'Q', '2'}
+// muxMagic opens the v2 handshake.
+var muxMagic = [4]byte{0xD5, 'S', 'Q', '2'}
 
 // MuxHandshake is the full 5-byte hello a v2 client sends at dial time;
 // a v2 server echoes it back verbatim as the accept.
 func MuxHandshake() [5]byte {
-	return [5]byte{MuxMagic[0], MuxMagic[1], MuxMagic[2], MuxMagic[3], FrameVersion}
+	return [5]byte{muxMagic[0], muxMagic[1], muxMagic[2], muxMagic[3], FrameVersion}
 }
 
 // FrameType discriminates v2 frames.
@@ -74,7 +67,7 @@ const (
 	// FrameTelemetry push and in the FrameCancel that ends it. A server
 	// that predates telemetry ignores the frame (unknown types are
 	// padding), so the client simply never sees a push — the same
-	// degraded-visibility story as a v1 peer.
+	// degraded-visibility story as a site that stopped pushing.
 	FrameSubscribe FrameType = 4
 	// FrameTelemetry is one pushed site-telemetry snapshot: the ID
 	// echoes the subscription and the payload is an AppendTelemetry

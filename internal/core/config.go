@@ -45,13 +45,6 @@ type ClusterConfig struct {
 	// re-sent up to RetryAttempts times. Zero disables the wrapper and
 	// dials eagerly.
 	RetryAttempts int
-	// DisableMux forces the legacy v1 wire protocol (one in-flight
-	// request per site connection) instead of negotiating the v2
-	// multiplexed protocol. Queries still work concurrently, but
-	// serialise head-of-line at each site and lose exact per-query byte
-	// attribution. For benchmarking v1 and talking to very old daemons
-	// whose negotiation behaviour is suspect.
-	DisableMux bool
 
 	// Logger, when set, becomes the default query logger: every query
 	// run without an Options.Logger of its own logs through it.
@@ -86,9 +79,8 @@ var ErrConfig = errors.New("core: invalid cluster config")
 
 // Open builds a Cluster from cfg — the consolidated constructor behind
 // NewLocalCluster, NewRemoteCluster and NewRemoteClusterRetry. Remote
-// connections negotiate the v2 multiplexed wire protocol (falling back
-// per site to v1 when a daemon predates it), so one Cluster serves many
-// concurrent Query calls without head-of-line blocking.
+// connections speak the multiplexed wire protocol, so one Cluster serves
+// many concurrent Query calls without head-of-line blocking.
 func Open(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Dims <= 0 {
 		return nil, fmt.Errorf("%w: Dims must be positive, got %d", ErrConfig, cfg.Dims)
@@ -112,21 +104,17 @@ func Open(cfg ClusterConfig) (*Cluster, error) {
 			clients[i] = transport.Metered(transport.Delayed(transport.Local(eng), cfg.Latency), meter)
 		}
 	} else {
-		dial := transport.Dial
-		if !cfg.DisableMux {
-			dial = transport.DialAuto
-		}
 		clients = make([]transport.Client, 0, len(cfg.Addrs))
 		for _, addr := range cfg.Addrs {
 			if cfg.RetryAttempts >= 1 {
 				addr := addr
 				rc := transport.Retry(func() (transport.Client, error) {
-					return dial(addr, meter)
+					return transport.DialAuto(addr, meter)
 				}, cfg.RetryAttempts)
 				clients = append(clients, transport.Metered(rc, meter))
 				continue
 			}
-			c, err := dial(addr, meter)
+			c, err := transport.DialAuto(addr, meter)
 			if err != nil {
 				for _, open := range clients {
 					open.Close()
@@ -174,8 +162,8 @@ type QueryStats struct {
 	// Bandwidth is the tuple/message/byte cost of this query.
 	Bandwidth transport.Snapshot
 	// Curve is the delivery-curve digest ((t, k) checkpoints, progress
-	// AUCs, per-site delivered counts). Nil when the stats crossed the
-	// wire from a peer that predates it — gob omits nil pointers.
+	// AUCs, per-site delivered counts), copied from the Report; when nil
+	// it is omitted from JSON.
 	Curve *progress.Digest `json:"curve,omitempty"`
 	// Source records how the answer was produced (protocol round,
 	// materialized read, or materialized read behind a refresh).

@@ -410,9 +410,7 @@ type Report struct {
 	FeedbackLocal []float64
 	// Curve is the delivery-curve digest (checkpointed (t, k) pairs,
 	// normalized progress AUCs, per-site delivered counts); Run always
-	// populates it. Nil when the report came from a peer that predates
-	// it — gob omits nil pointers, so old and new coordinators
-	// interoperate.
+	// populates it; when nil it is omitted from JSON.
 	Curve *progress.Digest `json:"curve,omitempty"`
 	// Source records how the answer was produced: a protocol round (the
 	// zero value), a materialized prefix read, or a materialized read

@@ -212,8 +212,8 @@ func compareReplay(res *ReplayResult, t *transcript.Transcript, rep *Report, mis
 		}
 	}
 	// Byte totals reproduce only when the live transport attributed
-	// bytes per request (v2 mux); v1/local recordings metered at the
-	// socket, which replay cannot see — skip the check there.
+	// bytes per request (TCP); in-process recordings carry no bytes —
+	// skip the check there.
 	var recordedWire int64
 	for _, m := range t.Messages {
 		recordedWire += m.WireBytes

@@ -17,12 +17,12 @@ import (
 
 // Concurrent-query throughput: the same query batch pushed through one
 // shared cluster at increasing client concurrency, once over the
-// multiplexed v2 wire protocol, once over the serial v1 protocol, and
-// once from a warm coordinator-side materialized serving tier.
-// Loopback TCP has no meaningful round-trip or service time, so each
-// site handler is wrapped in transport.DelayedHandler — the delay is
-// what the v1 connection head-of-line blocks on, the mux overlaps, and
-// the serving tier avoids altogether after its single warmup round.
+// multiplexed wire protocol and once from a warm coordinator-side
+// materialized serving tier. Loopback TCP has no meaningful round-trip
+// or service time, so each site handler is wrapped in
+// transport.DelayedHandler — the delay is what the mux overlaps across
+// concurrent queries, and what the serving tier avoids altogether after
+// its single warmup round.
 
 // ThroughputOptions tunes the throughput measurement.
 type ThroughputOptions struct {
@@ -68,9 +68,10 @@ func (o ThroughputOptions) withDefaults() ThroughputOptions {
 	return o
 }
 
-// Throughput measures end-to-end queries/sec per concurrency level, mux
-// versus serial, and returns one ThroughputResult per level in input
-// order.
+// Throughput measures end-to-end queries/sec per concurrency level and
+// returns one ThroughputResult per level in input order. Each level's
+// Speedup is its mux rate over the mux rate at the lowest concurrency
+// measured.
 func Throughput(ctx context.Context, opts ThroughputOptions) ([]perf.ThroughputResult, error) {
 	opts = opts.withDefaults()
 	db, err := gen.Generate(gen.Config{
@@ -113,13 +114,9 @@ func Throughput(ctx context.Context, opts ThroughputOptions) ([]perf.ThroughputR
 		if min := 2 * clients; batch < min {
 			batch = min
 		}
-		muxQPS, err := throughputBatch(ctx, addrs, clients, batch, false)
+		muxQPS, err := throughputBatch(ctx, addrs, clients, batch)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: throughput mux @%d: %w", clients, err)
-		}
-		serialQPS, err := throughputBatch(ctx, addrs, clients, batch, true)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: throughput serial @%d: %w", clients, err)
 		}
 		matQPS, err := materializedBatch(ctx, addrs, clients, batch)
 		if err != nil {
@@ -130,11 +127,18 @@ func Throughput(ctx context.Context, opts ThroughputOptions) ([]perf.ThroughputR
 			Queries:         batch,
 			SiteDelayMicros: opts.SiteDelay.Microseconds(),
 			MuxQPS:          muxQPS,
-			SerialQPS:       serialQPS,
-			Speedup:         muxQPS / serialQPS,
 			MaterializedQPS: matQPS,
 			ServeSpeedup:    matQPS / muxQPS,
 		})
+	}
+	base := results[0]
+	for _, r := range results[1:] {
+		if r.Concurrency < base.Concurrency {
+			base = r
+		}
+	}
+	for i := range results {
+		results[i].Speedup = results[i].MuxQPS / base.MuxQPS
 	}
 	return results, nil
 }
@@ -157,41 +161,18 @@ func materializedBatch(ctx context.Context, addrs []string, clients, batch int) 
 	if _, err := server.Query(ctx, opts); err != nil {
 		return 0, err
 	}
-
-	var remaining atomic.Int64
-	remaining.Store(int64(batch))
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for remaining.Add(-1) >= 0 {
-				if _, err := server.Query(ctx, opts); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(batch) / wall.Seconds(), nil
+	return drainBatch(clients, batch, func() error {
+		_, err := server.Query(ctx, opts)
+		return err
+	})
 }
 
 // throughputBatch drains a batch of identical queries through one shared
 // cluster with the given number of client goroutines and returns the
 // completed-query rate. One unmeasured warmup query establishes the
-// connections (and, over v1, the per-connection gob type descriptors)
-// before the clock starts.
-func throughputBatch(ctx context.Context, addrs []string, clients, batch int, disableMux bool) (float64, error) {
-	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: DefaultDims, DisableMux: disableMux})
+// connections before the clock starts.
+func throughputBatch(ctx context.Context, addrs []string, clients, batch int) (float64, error) {
+	cluster, err := core.Open(core.ClusterConfig{Addrs: addrs, Dims: DefaultDims})
 	if err != nil {
 		return 0, err
 	}
@@ -200,7 +181,16 @@ func throughputBatch(ctx context.Context, addrs []string, clients, batch int, di
 	if _, err := cluster.Query(ctx, opts); err != nil {
 		return 0, err
 	}
+	return drainBatch(clients, batch, func() error {
+		_, err := cluster.Query(ctx, opts)
+		return err
+	})
+}
 
+// drainBatch runs query batch times across the given number of client
+// goroutines and returns the completed-query rate, or the first error a
+// client hit.
+func drainBatch(clients, batch int, query func() error) (float64, error) {
 	var remaining atomic.Int64
 	remaining.Store(int64(batch))
 	errs := make([]error, clients)
@@ -211,7 +201,7 @@ func throughputBatch(ctx context.Context, addrs []string, clients, batch int, di
 		go func(w int) {
 			defer wg.Done()
 			for remaining.Add(-1) >= 0 {
-				if _, err := cluster.Query(ctx, opts); err != nil {
+				if err := query(); err != nil {
 					errs[w] = err
 					return
 				}

@@ -7,10 +7,11 @@ import (
 )
 
 // TestThroughputMuxAdvantage pins the point of the multiplexed transport:
-// at real client concurrency it must clear more queries per second than
-// the serial v1 wire on the same delayed sites. The threshold is loose
-// (CI machines are noisy); the committed bench baseline records the real
-// margin (>2x at 8 clients) and benchdiff gates on it.
+// at real client concurrency one shared connection per site must clear
+// more queries per second than a single client does on the same delayed
+// sites. The threshold is loose (CI machines are noisy; 6 clients on 3
+// sites measured about 5x on a 2-CPU box); the committed bench baseline
+// records the real scaling at 8 clients and benchdiff gates on it.
 func TestThroughputMuxAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing benchmark")
@@ -29,12 +30,15 @@ func TestThroughputMuxAdvantage(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(res))
 	}
 	for _, r := range res {
-		if r.MuxQPS <= 0 || r.SerialQPS <= 0 || r.Queries < 2*r.Concurrency {
+		if r.MuxQPS <= 0 || r.Queries < 2*r.Concurrency {
 			t.Fatalf("malformed result: %+v", r)
 		}
 	}
-	if s := res[1].Speedup; s < 1.2 {
-		t.Fatalf("mux speedup at %d clients = %.2fx; the multiplexed transport should beat the serial wire",
+	if s := res[0].Speedup; s != 1 {
+		t.Fatalf("speedup at the lowest concurrency = %v, want exactly 1", s)
+	}
+	if s := res[1].Speedup; s < 1.8 {
+		t.Fatalf("mux scaling at %d clients = %.2fx; concurrent queries should overlap their site delays",
 			res[1].Concurrency, s)
 	}
 	// The materialized tier answers from memory — no per-query site

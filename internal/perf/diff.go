@@ -70,7 +70,7 @@ type MetricDelta struct {
 	// metric appeared from a zero baseline.
 	Rel float64
 	// Limit is the significance threshold this comparison was held to.
-	Limit float64
+	Limit   float64
 	Verdict Verdict
 }
 
@@ -344,8 +344,8 @@ func writeThroughputMarkdown(w io.Writer, oldA, newA *Artifact) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "\n### Concurrent-query throughput (mux vs serial transport, materialized serving)\n\n")
-	fmt.Fprintf(w, "| clients | old mux q/s | new mux q/s | old speedup | new speedup | old serve q/s | new serve q/s | old serve× | new serve× |\n")
+	fmt.Fprintf(w, "\n### Concurrent-query throughput (mux scaling over the lowest concurrency, materialized serving)\n\n")
+	fmt.Fprintf(w, "| clients | old mux q/s | new mux q/s | old scaling | new scaling | old serve q/s | new serve q/s | old serve× | new serve× |\n")
 	fmt.Fprintf(w, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	for _, c := range levels {
 		o, n := at(oldA, c), at(newA, c)

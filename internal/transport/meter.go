@@ -134,9 +134,7 @@ func (c *meteredClient) CallBytes(ctx context.Context, req *Request) (*Response,
 	if err == nil {
 		c.meter.Account(req, resp)
 		if n > 0 {
-			// v1 clients report zero here; their bytes are counted at
-			// the socket instead (countingReader/Writer), so there is
-			// exactly one byte path per transport generation.
+			// In-process clients report zero: they move no wire bytes.
 			c.meter.AddBytes(n)
 		}
 	}

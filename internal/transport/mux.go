@@ -15,12 +15,11 @@ import (
 )
 
 // ByteReporter is the optional Client extension for transports that can
-// attribute wire bytes to individual requests. The v2 framed protocol
-// knows each request's and response's exact frame size, so overlapping
-// queries sharing one connection get exact per-query byte accounting —
-// the thing the v1 gob stream (bytes observed only at the shared
-// socket) fundamentally cannot do. Wrappers (Metered, Instrumented,
-// Retry) forward the interface when their inner client provides it.
+// attribute wire bytes to individual requests. The framed wire knows
+// each request's and response's exact frame size, so overlapping
+// queries sharing one connection get exact per-query byte accounting.
+// Wrappers (Metered, Instrumented, Retry) forward the interface when
+// their inner client provides it.
 type ByteReporter interface {
 	Client
 	// CallBytes is Call, additionally returning the wire bytes this
@@ -30,7 +29,7 @@ type ByteReporter interface {
 }
 
 // callBytes invokes cl preferring per-request byte attribution; clients
-// without it report zero bytes (their bytes are socket-counted instead).
+// without it (in-process Local clients) report zero bytes.
 func callBytes(cl Client, ctx context.Context, req *Request) (*Response, int64, error) {
 	if br, ok := cl.(ByteReporter); ok {
 		return br.CallBytes(ctx, req)
@@ -39,43 +38,40 @@ func callBytes(cl Client, ctx context.Context, req *Request) (*Response, int64, 
 	return resp, 0, err
 }
 
-// muxHandshakeTimeout bounds the v2 hello round trip at dial time. A
-// true v1 peer does not answer the hello (its gob decoder blocks
-// waiting for bytes that never come), so this deadline is what sends
-// the client to the fallback. A variable so negotiation tests can
-// shorten the wait.
-var muxHandshakeTimeout = 5 * time.Second
+// muxHandshakeTimeout bounds the hello round trip at dial time, so a
+// peer that accepts the connection but never answers cannot stall the
+// dial forever.
+const muxHandshakeTimeout = 5 * time.Second
 
 // errMuxBroken wraps the terminal error of a mux connection when it is
 // surfaced to calls that were in flight as it died.
 var errMuxBroken = errors.New("transport: mux connection broken")
 
-// DialAuto connects to a site negotiating the newest wire protocol both
-// ends speak: it sends the v2 hello and returns a pipelining MuxClient
-// when the server echoes it, or falls back to a fresh v1 gob connection
-// when the peer rejects or ignores the hello (an old site daemon). meter
-// may be nil; when set it observes handshake bytes and — on the v1
-// fallback — all socket bytes, exactly as Dial does. (v2 call bytes are
-// attributed per request through ByteReporter instead, so they are
-// charged by the Metered wrapper, not here.)
+// DialAuto connects to a site: it sends the wire-v2 hello and returns a
+// pipelining MuxClient once the server echoes it. A peer that closes
+// (as a build for another frame version does), answers anything else,
+// or stays silent past the handshake deadline is refused with an error
+// naming the address and the frame version. meter may be nil; when set it
+// observes the handshake bytes. (Call bytes are attributed per request
+// through ByteReporter instead, so they are charged by the Metered
+// wrapper, not here.)
 func DialAuto(addr string, meter *Meter) (Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	hello := codec.MuxHandshake()
-	deadline := time.Now().Add(muxHandshakeTimeout)
-	conn.SetDeadline(deadline)
-	if _, err := conn.Write(hello[:]); err != nil {
-		conn.Close()
-		return Dial(addr, meter)
-	}
+	conn.SetDeadline(time.Now().Add(muxHandshakeTimeout))
 	var ack [5]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack != hello {
-		// No echo: the peer is a v1-only build (it choked on the magic
-		// and closed, or answered something else). Redial plain gob.
+	if _, err = conn.Write(hello[:]); err == nil {
+		_, err = io.ReadFull(conn, ack[:])
+	}
+	if err == nil && ack != hello {
+		err = fmt.Errorf("hello not echoed (got % x)", ack)
+	}
+	if err != nil {
 		conn.Close()
-		return Dial(addr, meter)
+		return nil, fmt.Errorf("transport: dial %s: wire v%d handshake: %w", addr, codec.FrameVersion, err)
 	}
 	conn.SetDeadline(time.Time{})
 	if meter != nil {
@@ -88,8 +84,7 @@ func DialAuto(addr string, meter *Meter) (Client, error) {
 // one TCP connection as ID-tagged frames, a demux goroutine routes
 // responses (which may arrive out of order) back to their callers, and
 // cancelling one call abandons only that call's slot — the connection
-// stays usable, unlike the v1 client, whose only cancellation lever is
-// closing the socket. MuxClient is safe for concurrent use.
+// stays usable. MuxClient is safe for concurrent use.
 type MuxClient struct {
 	conn net.Conn
 
@@ -339,14 +334,14 @@ func (c *MuxClient) CallBytes(ctx context.Context, req *Request) (*Response, int
 // FrameCancel cancels the matching in-flight handler's context; the
 // connection itself is untouched, which is the whole point of v2
 // cancellation.
-func (s *Server) serveMux(conn net.Conn, br *bufio.Reader, w io.Writer) {
+func (s *Server) serveMux(br *bufio.Reader, w io.Writer) {
 	var hello [5]byte
 	if _, err := io.ReadFull(br, hello[:]); err != nil {
 		return
 	}
 	if hello != codec.MuxHandshake() {
-		// Same magic, unknown version: stay silent and let the client's
-		// handshake deadline route it to the v1 fallback.
+		// Wrong magic or another frame version: close without an echo,
+		// so the client's dial fails instead of misparsing frames.
 		return
 	}
 	s.mu.Lock()

@@ -1,14 +1,20 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/codec"
 )
 
 // sessionEcho answers every request with Size = int(req.Session), so a
@@ -146,53 +152,89 @@ func TestMuxCancelKeepsConnectionUsable(t *testing.T) {
 	}
 }
 
-// TestDialAutoFallsBackToLegacy pins version negotiation: a v1-only
-// server never answers the v2 hello, and DialAuto must come back with a
-// working legacy client instead of an error.
-func TestDialAutoFallsBackToLegacy(t *testing.T) {
-	old := muxHandshakeTimeout
-	muxHandshakeTimeout = 200 * time.Millisecond
-	defer func() { muxHandshakeTimeout = old }()
-
-	addr, s := startMuxServer(t, handlerFunc(sessionEcho))
-	s.SetLegacyOnly(true)
-
-	cl, err := DialAuto(addr, nil)
+// assertClosedUnanswered writes opener on a raw connection to addr and
+// requires the server to close it without writing a byte back.
+func assertClosedUnanswered(t *testing.T, addr string, opener []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("DialAuto against v1-only server: %v", err)
+		t.Fatalf("dial: %v", err)
 	}
-	defer cl.Close()
-	if _, ok := cl.(*MuxClient); ok {
-		t.Fatal("DialAuto returned a MuxClient against a v1-only server")
+	defer conn.Close()
+	if _, err := conn.Write(opener); err != nil {
+		t.Fatalf("write opener: %v", err)
 	}
-	resp, err := cl.Call(context.Background(), &Request{Kind: KindStatus, Session: 5})
-	if err != nil {
-		t.Fatalf("legacy fallback call: %v", err)
-	}
-	if resp.Size != 5 {
-		t.Fatalf("legacy fallback call: got %d want 5", resp.Size)
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var buf [64]byte
+	n, err := conn.Read(buf[:])
+	// A close with unread input may surface as a reset rather than EOF;
+	// either way the server hung up. Only a timeout means it kept waiting.
+	var ne net.Error
+	if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("server answered % x (err %v), want the connection closed unanswered", buf[:n], err)
 	}
 }
 
-// TestMuxServesLegacyClientsToo: one v2 server, one shared address, a
-// v1 gob client and a v2 mux client working side by side.
-func TestMuxServesLegacyClientsToo(t *testing.T) {
-	addr, _ := startMuxServer(t, handlerFunc(sessionEcho))
-	mc := dialMux(t, addr)
-	legacy, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatalf("legacy dial: %v", err)
-	}
-	defer legacy.Close()
+// TestHandshakeRefusals pins the one-protocol handshake from both ends:
+// the server closes on any opener that is not this build's hello, and
+// DialAuto fails at once when a peer closes instead of echoing.
+func TestHandshakeRefusals(t *testing.T) {
+	var calls atomic.Int64
+	addr, _ := startMuxServer(t, handlerFunc(func(ctx context.Context, req *Request) (*Response, error) {
+		calls.Add(1)
+		return &Response{}, nil
+	}))
 
-	for i := 1; i <= 5; i++ {
-		if resp, err := legacy.Call(context.Background(), &Request{Kind: KindStatus, Session: uint64(i)}); err != nil || resp.Size != i {
-			t.Fatalf("legacy call %d: resp=%v err=%v", i, resp, err)
+	t.Run("other frame version", func(t *testing.T) {
+		hello := codec.MuxHandshake()
+		hello[4] = codec.FrameVersion + 1
+		assertClosedUnanswered(t, addr, hello[:])
+	})
+
+	t.Run("gob opener", func(t *testing.T) {
+		var buf bytes.Buffer
+		envelope := struct{ Req Request }{Request{Kind: KindStatus, Session: 1}}
+		if err := gob.NewEncoder(&buf).Encode(&envelope); err != nil {
+			t.Fatalf("gob encode: %v", err)
 		}
-		if resp, err := mc.Call(context.Background(), &Request{Kind: KindStatus, Session: uint64(i * 100)}); err != nil || resp.Size != i*100 {
-			t.Fatalf("mux call %d: resp=%v err=%v", i, resp, err)
+		assertClosedUnanswered(t, addr, buf.Bytes())
+		if n := calls.Load(); n != 0 {
+			t.Fatalf("handler served %d gob requests", n)
 		}
-	}
+	})
+
+	t.Run("dial against a peer that closes", func(t *testing.T) {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		defer lis.Close()
+		go func() {
+			for {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				var hello [5]byte
+				io.ReadFull(conn, hello[:])
+				conn.Close()
+			}
+		}()
+		start := time.Now()
+		cl, err := DialAuto(lis.Addr().String(), nil)
+		if err == nil {
+			cl.Close()
+			t.Fatal("DialAuto succeeded against a peer that never echoed the hello")
+		}
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("DialAuto took %v to fail, want under 1s", elapsed)
+		}
+		for _, want := range []string{lis.Addr().String(), fmt.Sprintf("v%d", codec.FrameVersion)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("DialAuto error %q does not mention %q", err, want)
+			}
+		}
+	})
 }
 
 func TestMuxWorkerLimitBounds(t *testing.T) {

@@ -27,8 +27,8 @@ const (
 // on the query's broadcast goroutines, after the inner call returns and
 // its meters have accounted it, so implementations must be safe for
 // concurrent use and should stay cheap. wireBytes is the framed wire
-// cost the inner transport attributed to the call (0 on transports that
-// meter at the socket instead).
+// cost the inner transport attributed to the call (0 for in-process
+// clients).
 type CallTap interface {
 	RecordCall(site int, req *Request, resp *Response, wireBytes int64)
 }

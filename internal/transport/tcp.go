@@ -2,38 +2,20 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/codec"
 )
 
-// wireRequest frames a Request for the TCP transport.
-type wireRequest struct {
-	Req Request
-}
-
-// wireResponse frames a Response; Err carries handler failures back to the
-// caller as text (errors are not gob-encodable in general).
-type wireResponse struct {
-	Resp Response
-	Err  string
-}
-
 // Server exposes a Handler on a TCP listener, one goroutine per accepted
-// connection. Each connection speaks whichever protocol its client
-// opens with: the legacy v1 gob stream (strictly one request/response
-// at a time) or, after the v2 handshake, the framed mux protocol where
-// requests are dispatched to a bounded pool of worker goroutines and
-// responses return as they complete, possibly out of order.
+// connection. Every connection speaks wire v2: after the handshake,
+// requests arrive as ID-tagged frames, are dispatched to a bounded pool
+// of worker goroutines, and their responses return as they complete,
+// possibly out of order.
 type Server struct {
 	handler Handler
 	meter   *Meter
@@ -44,7 +26,6 @@ type Server struct {
 	wg          sync.WaitGroup
 	closed      bool
 	workerLimit int
-	legacyOnly  bool
 	// draining makes per-connection loops exit after the in-flight
 	// request (if any) completes, instead of waiting for the next one —
 	// the graceful half of Shutdown.
@@ -120,16 +101,6 @@ func (s *Server) SetWorkerLimit(n int) {
 	s.workerLimit = n
 }
 
-// SetLegacyOnly makes the server behave like a pre-v2 build: every
-// connection is treated as a bare gob stream, and a v2 hello is fed to
-// the gob decoder (which chokes on it) exactly as an old binary would.
-// For negotiation tests and staged rollouts.
-func (s *Server) SetLegacyOnly(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.legacyOnly = v
-}
-
 // SetFrameTap installs (or, with nil, removes) a tap observing every v2
 // frame the server's mux loops read or write — the wire-level counter
 // feed for per-direction frame metrics. Call before Serve; connections
@@ -197,43 +168,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		reader = &countingReader{r: conn, meter: s.meter}
 		writer = &countingWriter{w: conn, meter: s.meter}
 	}
-	br := bufio.NewReader(reader)
-	s.mu.Lock()
-	legacyOnly := s.legacyOnly
-	s.mu.Unlock()
-	if !legacyOnly {
-		// Protocol sniff: a v2 client leads with MuxMagic, whose first
-		// byte can never begin a gob stream, so four peeked bytes decide
-		// the protocol without consuming anything.
-		if peek, err := br.Peek(len(codec.MuxMagic)); err == nil && bytes.Equal(peek, codec.MuxMagic[:]) {
-			s.serveMux(conn, br, writer)
-			return
-		}
-	}
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(writer)
-	for {
-		var wreq wireRequest
-		if err := dec.Decode(&wreq); err != nil {
-			return // EOF, broken peer, or a drain deadline; the connection is done
-		}
-		resp, err := s.handler.Handle(context.Background(), &wreq.Req)
-		var wresp wireResponse
-		if err != nil {
-			wresp.Err = err.Error()
-		} else if resp != nil {
-			wresp.Resp = *resp
-		}
-		if err := enc.Encode(&wresp); err != nil {
-			return
-		}
-		if s.draining.Load() {
-			// Shutdown in progress: the request that was in flight has
-			// been answered; stop reading and let the peer redial
-			// elsewhere.
-			return
-		}
-	}
+	s.serveMux(bufio.NewReader(reader), writer)
 }
 
 // Shutdown stops the server gracefully: the listener closes (no new
@@ -309,109 +244,6 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
-}
-
-// Dial connects a Client to a TCP site at addr. meter may be nil; when
-// set, wire bytes are recorded on it (tuple accounting still happens via
-// Metered, which composes with this client).
-func Dial(addr string, meter *Meter) (Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return newTCPClient(conn, meter), nil
-}
-
-func newTCPClient(conn net.Conn, meter *Meter) Client {
-	var reader io.Reader = conn
-	var writer io.Writer = conn
-	if meter != nil {
-		reader = &countingReader{r: conn, meter: meter}
-		writer = &countingWriter{w: conn, meter: meter}
-	}
-	return &tcpClient{
-		conn: conn,
-		dec:  gob.NewDecoder(reader),
-		enc:  gob.NewEncoder(writer),
-	}
-}
-
-type tcpClient struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	dec    *gob.Decoder
-	enc    *gob.Encoder
-	closed bool
-}
-
-// Call sends one request and waits for its response. Cancellation closes
-// the connection (the protocol has no other way to abandon an in-flight
-// read), so a cancelled client is dead afterwards.
-func (c *tcpClient) Call(ctx context.Context, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-
-	// The watcher aborts a blocked send/receive by closing the socket when
-	// ctx is cancelled. It re-checks done after waking so that a
-	// cancellation racing with a completed call (e.g. a broadcast helper
-	// cancelling its child context on return) cannot kill the connection,
-	// and Call joins it before returning so it never outlives the call.
-	done := make(chan struct{})
-	watcherExit := make(chan struct{})
-	var cancelled atomic.Bool
-	go func() {
-		defer close(watcherExit)
-		select {
-		case <-ctx.Done():
-			select {
-			case <-done:
-				// The call finished first; leave the connection alone.
-			default:
-				cancelled.Store(true)
-				c.conn.Close()
-			}
-		case <-done:
-		}
-	}()
-	defer func() {
-		close(done)
-		<-watcherExit
-	}()
-
-	if err := c.enc.Encode(&wireRequest{Req: *req}); err != nil {
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("transport: send: %w", err)
-	}
-	var wresp wireResponse
-	if err := c.dec.Decode(&wresp); err != nil {
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("transport: receive: %w", err)
-	}
-	if wresp.Err != "" {
-		return nil, errors.New(wresp.Err)
-	}
-	resp := wresp.Resp
-	return &resp, nil
-}
-
-func (c *tcpClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.conn.Close()
 }
 
 type countingReader struct {

@@ -42,8 +42,8 @@ const MinTelemetryInterval = 100 * time.Millisecond
 const telemetryFullEvery = 16
 
 // ErrTelemetryUnsupported reports that a client (or the peer behind it)
-// cannot deliver telemetry pushes — a v1 gob connection, an in-process
-// client, or a wrapper hiding one.
+// cannot deliver telemetry pushes — an in-process client, or a wrapper
+// hiding one.
 var ErrTelemetryUnsupported = errors.New("transport: telemetry not supported by this client")
 
 // TelemetrySource fills one telemetry snapshot with the site's current
@@ -78,7 +78,7 @@ type Unwrapper interface {
 // SubscribeTelemetry subscribes through an arbitrary client stack: it
 // walks Unwrap chains and live RetryClient connections until it finds a
 // TelemetrySubscriber, and fails with ErrTelemetryUnsupported when the
-// stack bottoms out in a transport that cannot push (v1 gob, Local).
+// stack bottoms out in a transport that cannot push (Local).
 // The subscription is bound to the connection that was live at call
 // time; after a redial the caller must subscribe again (staleness-driven
 // resubscription is the aggregator's job, see core.ClusterTelemetry).

@@ -142,7 +142,7 @@ func TestMuxTelemetryNoSource(t *testing.T) {
 
 // SubscribeTelemetry must reach the mux client through a full wrapper
 // stack (Instrumented(Metered(Delayed(Retry(mux))))), and report
-// ErrTelemetryUnsupported against a v1 peer — the legacy-build fallback.
+// ErrTelemetryUnsupported for a transport with no mux client inside.
 func TestSubscribeTelemetryThroughStack(t *testing.T) {
 	src := &fakeTelemetrySource{}
 	addr, srv := startMuxServer(t, handlerFunc(sessionEcho))
@@ -166,43 +166,10 @@ func TestSubscribeTelemetryThroughStack(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no push through wrapper stack")
 	}
-}
 
-func TestSubscribeTelemetryV1Fallback(t *testing.T) {
-	// A legacy-only server rejects the v2 hello, so DialAuto hands back a
-	// v1 gob client — and telemetry subscription must fail cleanly, not
-	// hang or panic.
-	lis, srv := startLegacyServer(t)
-	old := muxHandshakeTimeout
-	muxHandshakeTimeout = 200 * time.Millisecond
-	defer func() { muxHandshakeTimeout = old }()
-
-	cl, err := DialAuto(lis, nil)
-	if err != nil {
-		t.Fatalf("DialAuto: %v", err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	_ = srv
-	if _, err := SubscribeTelemetry(cl, time.Second, func(*codec.Telemetry) {}); !errors.Is(err, ErrTelemetryUnsupported) {
-		t.Fatalf("subscribe over v1 = %v, want ErrTelemetryUnsupported", err)
-	}
-	// The v1 connection still answers RPCs.
-	resp, err := cl.Call(context.Background(), &Request{Kind: KindStatus, Session: 4})
-	if err != nil || resp.Size != 4 {
-		t.Fatalf("v1 Call after failed subscribe: %v %+v", err, resp)
-	}
-
-	// The helper also rejects transports with no unwrap path at all.
 	if _, err := SubscribeTelemetry(Local(handlerFunc(sessionEcho)), time.Second, func(*codec.Telemetry) {}); !errors.Is(err, ErrTelemetryUnsupported) {
 		t.Fatalf("subscribe over Local = %v, want ErrTelemetryUnsupported", err)
 	}
-}
-
-func startLegacyServer(t *testing.T) (string, *Server) {
-	t.Helper()
-	addr, s := startMuxServer(t, handlerFunc(sessionEcho))
-	s.SetLegacyOnly(true)
-	return addr, s
 }
 
 // The publisher's steady-state push path — fill, delta-encode, frame,

@@ -3,9 +3,8 @@
 // an in-process transport (goroutine sites, used by the experiment harness
 // so tuple accounting is exact and runs are fast) and a real TCP transport
 // (used by the cmd/dsud-site daemon): framed wire v2 with a hand-written
-// payload codec (wire.go), or the legacy v1 gob stream. A Meter counts the
-// paper's bandwidth measure — tuples shipped — plus message and byte
-// totals.
+// payload codec (wire.go). A Meter counts the paper's bandwidth measure —
+// tuples shipped — plus message and byte totals.
 package transport
 
 import (
@@ -162,9 +161,7 @@ type Request struct {
 
 	// Trace is the distributed-tracing context (zero value = untraced).
 	// When Trace.Sampled is set the site times its phases and piggybacks
-	// the completed spans on Response.TraceBlob. On the v1 gob stream,
-	// which encodes by field name, peers that predate this field
-	// interoperate: they simply see (or send) the untraced zero value.
+	// the completed spans on Response.TraceBlob.
 	Trace obs.TraceContext
 
 	Kind  Kind
@@ -215,8 +212,7 @@ type Response struct {
 	// Synopsis answers KindSynopsis.
 	Synopsis *synopsis.Histogram
 
-	// Status answers KindStatus. Nil from peers that predate the health
-	// probe (gob simply omits the field).
+	// Status answers KindStatus.
 	Status *SiteStatus
 
 	// TraceBlob carries the site's completed spans and per-phase
@@ -227,10 +223,10 @@ type Response struct {
 }
 
 // SiteStatus is one site's operational snapshot, answered to KindStatus
-// and served as JSON at /statusz. Field names are wire-stable: the
-// struct crosses gob (the v1 protocol) and JSON (ops endpoints). A field
-// added here also needs a slot in the v2 payload codec (fieldsOf in
-// wire.go); TestWireRoundTripMatchesGob fails until it has one.
+// and served as JSON at /statusz. JSON field names are stable for the ops
+// endpoints. A field added here also needs a slot in the payload codec
+// (fieldsOf in wire.go); TestWireRoundTripMatchesGob fails until it has
+// one.
 type SiteStatus struct {
 	// ID is the site index the daemon was started with.
 	ID int `json:"id"`
@@ -263,9 +259,7 @@ type SiteStatus struct {
 	// Windowed request-latency percentiles in milliseconds, estimated by
 	// bucket interpolation over the engine's rotating window (obs.Window);
 	// WindowRate is the windowed request rate in requests/second and
-	// WindowSeconds the window span the figures cover. All zero on sites
-	// that predate windowed latency (gob encodes by field name, so the
-	// fields simply arrive absent).
+	// WindowSeconds the window span the figures cover.
 	LatencyP50Ms  float64 `json:"latency_p50_ms,omitempty"`
 	LatencyP95Ms  float64 `json:"latency_p95_ms,omitempty"`
 	LatencyP99Ms  float64 `json:"latency_p99_ms,omitempty"`
@@ -276,7 +270,7 @@ type SiteStatus struct {
 	// work): MuxWorkersBusy of MuxWorkerLimit per-connection slots are in
 	// handlers across MuxConns live mux connections, and MuxQueued read
 	// loops are parked waiting for a slot — the backpressure signal
-	// in-flight counts alone cannot show. Zero on legacy-only sites.
+	// in-flight counts alone cannot show.
 	MuxConns       int `json:"mux_conns,omitempty"`
 	MuxWorkersBusy int `json:"mux_workers_busy,omitempty"`
 	MuxWorkerLimit int `json:"mux_worker_limit,omitempty"`
@@ -285,8 +279,7 @@ type SiteStatus struct {
 	// Telemetry push plane (the cluster-telemetry work): how many
 	// coordinators hold live subscriptions, how many snapshots have been
 	// pushed since start, and when the last one went out — so the pull
-	// plane can report last-push age per site. Zero from sites that
-	// predate telemetry (gob encodes by field name).
+	// plane can report last-push age per site.
 	TelemetrySubscribers      int    `json:"telemetry_subscribers,omitempty"`
 	TelemetryPushes           uint64 `json:"telemetry_pushes,omitempty"`
 	TelemetryLastPushUnixNano int64  `json:"telemetry_last_push_unix_nano,omitempty"`

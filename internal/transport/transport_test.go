@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/geom"
 	"repro/internal/uncertain"
 )
@@ -189,7 +190,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	h := &echoHandler{resp: want}
 	var meter Meter
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, &meter)
+	c, err := DialAuto(addr, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,20 @@ func TestTCPRoundTrip(t *testing.T) {
 	if !got.Rep.Tuple.Point.Equal(geom.Point{1.5, 2.5}) {
 		t.Fatalf("point mangled: %v", got.Rep.Tuple.Point)
 	}
-	if meter.Snapshot().Bytes == 0 {
-		t.Error("client meter should observe wire bytes")
+	// The meter sees only the hello and its echo; CallBytes reports the
+	// call's own request and response frames, exactly.
+	hello := codec.MuxHandshake()
+	if got, want := meter.Snapshot().Bytes, int64(2*len(hello)); got != want {
+		t.Errorf("client meter observed %d bytes, want the %d-byte handshake", got, want)
+	}
+	_, n, err := c.(ByteReporter).CallBytes(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqFrame := codec.AppendFrame(nil, codec.FrameRequest, 0, AppendRequest(nil, req))
+	respFrame := codec.AppendFrame(nil, codec.FrameResponse, 0, AppendResponse(nil, &want, ""))
+	if wantBytes := int64(len(reqFrame) + len(respFrame)); n != wantBytes {
+		t.Errorf("CallBytes reported %d bytes, want request+response frames = %d", n, wantBytes)
 	}
 	// Sequential calls on the same connection.
 	for i := 0; i < 5; i++ {
@@ -223,8 +236,8 @@ func TestTCPRoundTrip(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if kinds := h.kinds(); len(kinds) != 6 {
-		t.Fatalf("server saw %d requests, want 6", len(kinds))
+	if kinds := h.kinds(); len(kinds) != 7 {
+		t.Fatalf("server saw %d requests, want 7", len(kinds))
 	}
 }
 
@@ -246,14 +259,14 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	h := &blockingHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	addr, srv := startServer(t, h, nil)
 
-	busy, err := Dial(addr, nil)
+	busy, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer busy.Close()
 	// A second connection stays idle — its server goroutine is parked in
-	// Decode and Shutdown must wake it without waiting.
-	idle, err := Dial(addr, nil)
+	// ReadFrame and Shutdown must wake it without waiting.
+	idle, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +306,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// The drained server accepts nothing new.
-	if _, err := Dial(addr, nil); err == nil {
+	if _, err := DialAuto(addr, nil); err == nil {
 		t.Fatal("dial after shutdown must fail")
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
@@ -306,7 +319,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 func TestServerShutdownTimeout(t *testing.T) {
 	h := &blockingHandler{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	addr, srv := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +339,7 @@ func TestServerShutdownTimeout(t *testing.T) {
 func TestTCPHandlerError(t *testing.T) {
 	h := &echoHandler{err: errors.New("site exploded")}
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +365,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(addr, nil)
+			c, err := DialAuto(addr, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -384,7 +397,7 @@ func TestTCPCancellation(t *testing.T) {
 		return &Response{}, nil
 	})
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +424,7 @@ func (f handlerFunc) Handle(ctx context.Context, req *Request) (*Response, error
 func TestTCPClientClose(t *testing.T) {
 	h := &echoHandler{resp: Response{}}
 	addr, _ := startServer(t, h, nil)
-	c, err := Dial(addr, nil)
+	c, err := DialAuto(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +448,7 @@ func TestServerClose(t *testing.T) {
 	srv := NewServer(h, nil)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
-	c, err := Dial(lis.Addr().String(), nil)
+	c, err := DialAuto(lis.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +477,7 @@ func TestServerClose(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", nil); err == nil {
+	if _, err := DialAuto("127.0.0.1:1", nil); err == nil {
 		t.Skip("port 1 unexpectedly open")
 	}
 }

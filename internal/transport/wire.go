@@ -7,8 +7,8 @@ package transport
 //
 // A message is a uvarint presence mask followed by only the fields
 // whose bit is set, in bit order. A field is present exactly when it is
-// non-zero, as gob omits zero fields; decoding leaves absent fields
-// zero and absent slices nil. Values:
+// non-zero, so zero fields cost nothing; decoding leaves absent fields
+// zero and absent slices nil, as gob would. Values:
 //
 //   - float64: 8 bytes of little-endian IEEE bits, so P-values stay
 //     bit-exact;

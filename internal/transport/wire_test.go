@@ -123,6 +123,12 @@ func allKinds() []Kind {
 // what gob makes of the same value (nil and empty semantics included),
 // and re-encoding it must give the same bytes.
 func TestWireRoundTripMatchesGob(t *testing.T) {
+	// envelope carries a response and its handler error through gob
+	// together, the way the codec's AppendResponse does.
+	type envelope struct {
+		Resp Response
+		Err  string
+	}
 	r := rand.New(rand.NewSource(20261017))
 	for _, kind := range allKinds() {
 		for i := 0; i < 150; i++ {
@@ -154,8 +160,8 @@ func TestWireRoundTripMatchesGob(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v response %d: %v\n%+v", kind, i, err, resp)
 			}
-			var wantWire wireResponse
-			gobCopy(t, &wireResponse{Resp: resp, Err: errMsg}, &wantWire)
+			var wantWire envelope
+			gobCopy(t, &envelope{Resp: resp, Err: errMsg}, &wantWire)
 			if !reflect.DeepEqual(gotResp, wantWire.Resp) || gotMsg != wantWire.Err {
 				t.Fatalf("%v response %d:\n got %+v %q\ngob %+v %q", kind, i, gotResp, gotMsg, wantWire.Resp, wantWire.Err)
 			}
