@@ -158,24 +158,39 @@ func DecodeFrameBody(body []byte) (Frame, error) {
 // byte returns io.EOF unwrapped, so connection teardown is
 // distinguishable from corruption mid-frame.
 func ReadFrame(r io.Reader) (Frame, int, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, 0, io.EOF
-		}
-		return Frame{}, 0, fmt.Errorf("%w: length prefix: %v", ErrFrame, err)
+	fr, _, n, err := ReadFrameBuf(r, nil)
+	return fr, n, err
+}
+
+// ReadFrameBuf is ReadFrame reading into buf, which it grows as needed
+// and returns for the next call. The frame's Payload aliases that buffer,
+// so it is valid only until buf is reused; a caller that keeps a frame
+// past the next read passes nil.
+func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, int, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
 	}
-	body := binary.LittleEndian.Uint32(lenBuf[:])
-	if body < frameHeaderLen+4 || body > MaxFramePayload+frameHeaderLen+4 {
-		return Frame{}, 0, fmt.Errorf("%w: implausible frame length %d", ErrFrame, body)
-	}
-	buf := make([]byte, body)
+	buf = buf[:4]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return Frame{}, 0, fmt.Errorf("%w: truncated frame (%d byte body): %v", ErrFrame, body, err)
+		if err == io.EOF {
+			return Frame{}, buf, 0, io.EOF
+		}
+		return Frame{}, buf, 0, fmt.Errorf("%w: length prefix: %v", ErrFrame, err)
+	}
+	body := binary.LittleEndian.Uint32(buf)
+	if body < frameHeaderLen+4 || body > MaxFramePayload+frameHeaderLen+4 {
+		return Frame{}, buf, 0, fmt.Errorf("%w: implausible frame length %d", ErrFrame, body)
+	}
+	if cap(buf) < int(body) {
+		buf = make([]byte, body)
+	}
+	buf = buf[:body]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, 0, fmt.Errorf("%w: truncated frame (%d byte body): %v", ErrFrame, body, err)
 	}
 	fr, err := DecodeFrameBody(buf)
 	if err != nil {
-		return Frame{}, 0, err
+		return Frame{}, buf, 0, err
 	}
-	return fr, 4 + int(body), nil
+	return fr, buf, 4 + int(body), nil
 }

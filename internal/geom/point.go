@@ -115,6 +115,37 @@ func (p Point) DominatesOrEqual(other Point, dims []int) bool {
 	return true
 }
 
+// Dominance compares row a with row b on the dimensions in dims (nil =
+// every index of a): le reports a[j] <= b[j] on every compared j, and lt
+// that a[j] < b[j] on at least one. So a dominates b iff le && lt, and a
+// dominates or equals b iff le. It is the kernel the PR-tree and the
+// sites' Observation-2 prune run over flat coordinate rows, so unlike the
+// Point methods it checks no ranges: b must be at least as long as a, and
+// dims must be a valid mask (ValidDims) for both.
+func Dominance(a, b []float64, dims []int) (le, lt bool) {
+	if dims == nil {
+		b = b[:len(a)]
+		for i, v := range a {
+			switch {
+			case v > b[i]:
+				return false, false
+			case v < b[i]:
+				lt = true
+			}
+		}
+		return true, lt
+	}
+	for _, j := range dims {
+		switch {
+		case a[j] > b[j]:
+			return false, false
+		case a[j] < b[j]:
+			lt = true
+		}
+	}
+	return true, lt
+}
+
 // L1 returns the L1 norm of p (its Manhattan distance to the origin). BBS
 // expands index entries in ascending order of this quantity.
 func (p Point) L1() float64 {

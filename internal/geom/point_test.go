@@ -251,3 +251,29 @@ func TestPointString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// Dominance over rows must agree with the Point methods on every valid
+// mask: le with DominatesOrEqual, le && lt with DominatesIn.
+func TestDominanceMatchesPointMethods(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 5000; trial++ {
+		d := 1 + r.Intn(4)
+		a, b := randomPoint(r, d), randomPoint(r, d)
+		if r.Intn(3) == 0 {
+			b[r.Intn(d)] = a[r.Intn(d)] // force some ties
+		}
+		var dims []int
+		if r.Intn(2) == 0 {
+			dims = r.Perm(d)[:1+r.Intn(d)]
+		}
+		le, lt := Dominance(a, b, dims)
+		if le != a.DominatesOrEqual(b, dims) || (le && lt) != a.DominatesIn(b, dims) {
+			t.Fatalf("Dominance(%v, %v, %v) = %v, %v; DominatesOrEqual %v, DominatesIn %v",
+				a, b, dims, le, lt, a.DominatesOrEqual(b, dims), a.DominatesIn(b, dims))
+		}
+	}
+	// A longer b is read only up to len(a) in the full space.
+	if le, lt := Dominance([]float64{1, 2}, []float64{1, 3, -9}, nil); !le || !lt {
+		t.Fatalf("prefix comparison = %v, %v, want true, true", le, lt)
+	}
+}

@@ -17,9 +17,6 @@ func RectFromPoint(p Point) Rect {
 // IsEmpty reports whether r covers no points.
 func (r Rect) IsEmpty() bool { return len(r.Lo) == 0 }
 
-// Dims returns the dimensionality of r (0 when empty).
-func (r Rect) Dims() int { return len(r.Lo) }
-
 // Clone returns an independent copy of r.
 func (r Rect) Clone() Rect {
 	return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
@@ -83,29 +80,26 @@ func (r Rect) Area() float64 {
 	return area
 }
 
-// Margin returns the sum of r's edge lengths, the classic R*-tree tiebreak
-// metric for node splits.
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	var m float64
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
-// Enlargement returns how much r's area would grow to absorb other.
+// Enlargement returns how much r's area would grow to absorb other. It
+// computes the union's area in place, without building the union.
 func (r Rect) Enlargement(other Rect) float64 {
-	return r.ExpandRect(other).Area() - r.Area()
+	if r.IsEmpty() || other.IsEmpty() {
+		return r.ExpandRect(other).Area() - r.Area()
+	}
+	union := 1.0
+	for i := range r.Lo {
+		union *= max(r.Hi[i], other.Hi[i]) - min(r.Lo[i], other.Lo[i])
+	}
+	return union - r.Area()
 }
 
 // MayContainDominatorOf reports whether some point inside r could dominate p
 // on the compared dimensions (nil dims = full space). Because every point of
 // r is componentwise >= r.Lo, a dominator of p exists in r only if r.Lo
 // itself dominates-or-equals p; the test is exact for pruning purposes: when
-// it returns false, r provably holds no dominator of p.
+// it returns false, r provably holds no dominator of p. It runs the row
+// kernel (Dominance), so p must have r's dimensionality and dims must be
+// valid for it.
 func (r Rect) MayContainDominatorOf(p Point, dims []int) bool {
 	if r.IsEmpty() {
 		return false
@@ -113,20 +107,11 @@ func (r Rect) MayContainDominatorOf(p Point, dims []int) bool {
 	// r.Lo == p exactly is the corner case: a point equal to p does not
 	// dominate p, but r may extend below p on no dimension then, so only a
 	// strictly-smaller corner on some compared dimension can yield a
-	// dominator. DominatesOrEqual alone would over-approximate only when
+	// dominator. Dominates-or-equals alone over-approximates only when
 	// r.Lo equals p on every compared dimension; that is still a correct
 	// (conservative) filter, and the per-point check downstream is exact.
-	return r.Lo.DominatesOrEqual(p, dims)
-}
-
-// IsDominatedBy reports whether p dominates every point inside r on the
-// compared dimensions, i.e. whether the whole subtree under r can be
-// discarded once p is known to be a skyline member in precise-data settings.
-func (r Rect) IsDominatedBy(p Point, dims []int) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	return p.DominatesIn(r.Lo, dims)
+	le, _ := Dominance(r.Lo, p, dims)
+	return le
 }
 
 // MinDist returns the L1 distance from the origin to the nearest corner of r

@@ -55,13 +55,10 @@ func TestRectExpandRect(t *testing.T) {
 	}
 }
 
-func TestRectAreaMarginEnlargement(t *testing.T) {
+func TestRectAreaEnlargement(t *testing.T) {
 	r := Rect{Lo: Point{0, 0}, Hi: Point{2, 3}}
 	if got := r.Area(); got != 6 {
 		t.Errorf("Area = %v, want 6", got)
-	}
-	if got := r.Margin(); got != 5 {
-		t.Errorf("Margin = %v, want 5", got)
 	}
 	if got := (Rect{}).Area(); got != 0 {
 		t.Errorf("empty Area = %v", got)
@@ -72,6 +69,12 @@ func TestRectAreaMarginEnlargement(t *testing.T) {
 	}
 	if got := r.Enlargement(Rect{Lo: Point{1, 1}, Hi: Point{2, 2}}); got != 0 {
 		t.Errorf("contained Enlargement = %v, want 0", got)
+	}
+	if got := (Rect{}).Enlargement(r); got != 6 {
+		t.Errorf("empty Enlargement = %v, want 6", got)
+	}
+	if got := r.Enlargement(Rect{}); got != 0 {
+		t.Errorf("Enlargement by empty = %v, want 0", got)
 	}
 }
 
@@ -125,22 +128,6 @@ func TestMayContainDominatorOfIsSound(t *testing.T) {
 		if holds && !rect.MayContainDominatorOf(q, nil) {
 			t.Fatalf("false negative: rect %v holds a dominator of %v", rect, q)
 		}
-	}
-}
-
-func TestIsDominatedBy(t *testing.T) {
-	r := Rect{Lo: Point{2, 2}, Hi: Point{5, 5}}
-	if !r.IsDominatedBy(Point{1, 1}, nil) {
-		t.Error("point below lo corner dominates whole rect")
-	}
-	if r.IsDominatedBy(Point{2, 2}, nil) {
-		t.Error("lo corner itself does not strictly dominate the rect")
-	}
-	if r.IsDominatedBy(Point{3, 1}, nil) {
-		t.Error("point inside x-range cannot dominate whole rect")
-	}
-	if (Rect{}).IsDominatedBy(Point{0, 0}, nil) {
-		t.Error("empty rect is never dominated")
 	}
 }
 

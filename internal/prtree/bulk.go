@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -9,94 +10,116 @@ import (
 
 // Bulk builds a PR-tree over db with Sort-Tile-Recursive packing, the
 // standard way to load a large static partition before querying begins.
-// Tuples are deep-copied; db is not retained. capacity < 4 selects
-// DefaultCapacity.
+// Coordinates are copied into the tree's rows; db is not retained.
+// capacity < 4 selects DefaultCapacity. Like Insert, it panics on a tuple
+// whose dimensionality is not dims.
 func Bulk(db uncertain.DB, dims, capacity int) *Tree {
 	t := New(dims, capacity)
 	if len(db) == 0 {
 		return t
 	}
-	leaves := make([]entry, 0, len(db))
 	for _, tu := range db {
-		leaves = append(leaves, leafEntry(tu.Clone()))
+		if len(tu.Point) != dims {
+			panic(fmt.Sprintf("prtree: bulk load of a %d-d point into a %d-d tree", len(tu.Point), dims))
+		}
 	}
-	strSort(leaves, 0, dims, t.max)
+	order := make([]int, len(db))
+	for i := range order {
+		order[i] = i
+	}
+	strSort(db, order, 0, dims, t.max)
 
 	// Pack leaf nodes, then repeatedly pack the level above until one node
 	// remains.
-	nodes := packLevel(leaves, t.max, true)
+	nodes := packLeaves(db, order, dims, t.max)
 	for len(nodes) > 1 {
-		upper := make([]entry, 0, len(nodes))
-		for _, n := range nodes {
-			upper = append(upper, wrap(n))
-		}
-		nodes = packLevel(upper, t.max, false)
+		nodes = packInterior(nodes, dims, t.max)
 	}
 	t.root = nodes[0]
 	t.size = len(db)
 	return t
 }
 
-// strSort orders entries with the STR tiling recursion: sort by dimension
-// dim, slice into vertical slabs sized so each slab fills whole nodes, then
-// recurse on the next dimension within each slab.
-func strSort(entries []entry, dim, dims, capacity int) {
-	if dim >= dims-1 || len(entries) <= capacity {
-		sort.Slice(entries, func(i, j int) bool {
-			return center(entries[i], dim) < center(entries[j], dim)
-		})
+// strSort orders tuple indices with the STR tiling recursion: sort by
+// dimension dim, slice into vertical slabs sized so each slab fills whole
+// nodes, then recurse on the next dimension within each slab.
+func strSort(db uncertain.DB, order []int, dim, dims, capacity int) {
+	sort.Slice(order, func(i, j int) bool {
+		return db[order[i]].Point[dim] < db[order[j]].Point[dim]
+	})
+	if dim >= dims-1 || len(order) <= capacity {
 		return
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return center(entries[i], dim) < center(entries[j], dim)
-	})
-	nLeaves := int(math.Ceil(float64(len(entries)) / float64(capacity)))
+	nLeaves := int(math.Ceil(float64(len(order)) / float64(capacity)))
 	remDims := float64(dims - dim)
 	slabCount := int(math.Ceil(math.Pow(float64(nLeaves), 1/remDims)))
 	if slabCount < 1 {
 		slabCount = 1
 	}
-	slabSize := int(math.Ceil(float64(len(entries)) / float64(slabCount)))
+	slabSize := int(math.Ceil(float64(len(order)) / float64(slabCount)))
 	if slabSize < 1 {
 		slabSize = 1
 	}
-	for lo := 0; lo < len(entries); lo += slabSize {
-		hi := lo + slabSize
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		strSort(entries[lo:hi], dim+1, dims, capacity)
+	for lo := 0; lo < len(order); lo += slabSize {
+		hi := min(lo+slabSize, len(order))
+		strSort(db, order[lo:hi], dim+1, dims, capacity)
 	}
 }
 
-func center(e entry, dim int) float64 {
-	if dim >= len(e.rect.Lo) {
-		return 0
-	}
-	return (e.rect.Lo[dim] + e.rect.Hi[dim]) / 2
-}
-
-// packLevel groups consecutive entries into nodes of up to capacity
+// nodeSizes splits n consecutive entries into nodes of up to capacity
 // entries, spreading the counts evenly so no node violates the minimum
 // fill (except a lone root, which is exempt).
-func packLevel(entries []entry, capacity int, leaf bool) []*node {
-	n := len(entries)
-	count := (n + capacity - 1) / capacity
-	if count == 0 {
-		count = 1
-	}
-	nodes := make([]*node, 0, count)
-	base := n / count
-	extra := n % count
-	idx := 0
-	for i := 0; i < count; i++ {
-		size := base
-		if i < extra {
-			size++
+func nodeSizes(n, capacity int) []int {
+	count := max(1, (n+capacity-1)/capacity)
+	sizes := make([]int, count)
+	for i := range sizes {
+		sizes[i] = n / count
+		if i < n%count {
+			sizes[i]++
 		}
-		nd := &node{leaf: leaf, entries: append([]entry(nil), entries[idx:idx+size]...)}
+	}
+	return sizes
+}
+
+// packLeaves writes the tuples in order into one backing array per column
+// and cuts it into leaves. Each leaf's slices are capped at its own
+// window, so an Insert that grows one leaf reallocates that leaf alone.
+func packLeaves(db uncertain.DB, order []int, d, capacity int) []*node {
+	lo := make([]float64, 0, len(order)*d)
+	ids := make([]uncertain.TupleID, 0, len(order))
+	prob := make([]float64, 0, len(order))
+	for _, k := range order {
+		lo = append(lo, db[k].Point...)
+		ids = append(ids, db[k].ID)
+		prob = append(prob, db[k].Prob)
+	}
+	var nodes []*node
+	at := 0
+	for _, size := range nodeSizes(len(order), capacity) {
+		end := at + size
+		nodes = append(nodes, &node{
+			leaf: true,
+			lo:   lo[at*d : end*d : end*d],
+			ids:  ids[at:end:end],
+			prob: prob[at:end:end],
+		})
+		at = end
+	}
+	return nodes
+}
+
+// packInterior builds the level above children, which are grouped in
+// order.
+func packInterior(children []*node, d, capacity int) []*node {
+	var nodes []*node
+	at := 0
+	for _, size := range nodeSizes(len(children), capacity) {
+		nd := &node{}
+		for _, c := range children[at : at+size] {
+			nd.appendChild(c, d)
+		}
 		nodes = append(nodes, nd)
-		idx += size
+		at += size
 	}
 	return nodes
 }

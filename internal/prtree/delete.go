@@ -11,71 +11,67 @@ import (
 // top-down approach to locate and delete the data item"). Returns
 // ErrNotFound when no such tuple exists.
 func (t *Tree) Delete(id uncertain.TupleID, p geom.Point) error {
-	var orphans []entry
-	removed := t.remove(t.root, id, p, &orphans)
-	if !removed {
+	if len(p) != t.dims {
+		return ErrNotFound
+	}
+	var orphans []*node
+	if !t.remove(t.root, id, p, &orphans) {
 		return ErrNotFound
 	}
 	t.size--
 	// Shrink the root when it lost all children but one interior entry.
-	for !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
+	for !t.root.leaf && t.root.len() == 1 {
+		t.root = t.root.children[0]
 	}
-	if !t.root.leaf && len(t.root.entries) == 0 {
+	if !t.root.leaf && t.root.len() == 0 {
 		t.root = &node{leaf: true}
 	}
-	// Reinsert entries orphaned by condensed nodes. Leaf-level orphans are
-	// whole tuples; deeper orphans are subtrees whose tuples are re-added
-	// individually, the simplest correct CondenseTree variant.
+	// Reinsert the tuples of nodes orphaned by condensing, one at a time
+	// in node order — the simplest correct CondenseTree variant.
 	for _, orphan := range orphans {
 		t.reinsert(orphan)
 	}
 	return nil
 }
 
-func (t *Tree) reinsert(e entry) {
-	if e.child == nil {
-		split := t.insert(t.root, e)
-		if split != nil {
-			old := t.root
-			t.root = &node{leaf: false, entries: []entry{wrap(old), wrap(split)}}
+func (t *Tree) reinsert(n *node) {
+	if !n.leaf {
+		for _, c := range n.children {
+			t.reinsert(c)
 		}
 		return
 	}
-	n := e.child
-	for i := range n.entries {
-		t.reinsert(n.entries[i])
+	for i, id := range n.ids {
+		t.insertRoot(n.row(i, t.dims), id, n.prob[i])
 	}
 }
 
 // remove deletes the matching leaf entry under n, collecting underfull
-// nodes' remaining entries into orphans. It reports whether a tuple was
-// removed.
-func (t *Tree) remove(n *node, id uncertain.TupleID, p geom.Point, orphans *[]entry) bool {
+// nodes into orphans. It reports whether a tuple was removed.
+func (t *Tree) remove(n *node, id uncertain.TupleID, p geom.Point, orphans *[]*node) bool {
+	d := t.dims
 	if n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.tuple.ID == id && e.tuple.Point.Equal(p) {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
+		for i := range n.ids {
+			if n.ids[i] == id && p.Equal(n.row(i, d)) {
+				n.deleteEntry(i, d)
 				return true
 			}
 		}
 		return false
 	}
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !e.rect.ContainsPoint(p) {
+	for i, c := range n.children {
+		if !n.rect(i, d).ContainsPoint(p) {
 			continue
 		}
-		if !t.remove(e.child, id, p, orphans) {
+		if !t.remove(c, id, p, orphans) {
 			continue
 		}
-		if len(e.child.entries) < t.min {
+		if c.len() < t.min {
 			// Condense: orphan the whole child and drop it from n.
-			*orphans = append(*orphans, e.child.entries...)
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			*orphans = append(*orphans, c)
+			n.deleteEntry(i, d)
 		} else {
-			e.recompute()
+			n.refresh(i, d)
 		}
 		return true
 	}

@@ -11,26 +11,30 @@ import (
 // maintenance, which must find the tuples whose skyline probability a
 // deleted or inserted tuple affects.
 func (t *Tree) Dominated(p geom.Point, dims []int, self uncertain.TupleID, fn func(uncertain.Tuple) bool) {
-	t.dominated(p, dims, self, fn)
-}
-
-func (t *Tree) dominated(p geom.Point, dims []int, self uncertain.TupleID, fn func(uncertain.Tuple) bool) {
+	if len(p) != t.dims {
+		return
+	}
+	d := t.dims
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if n.leaf {
-				if e.tuple.ID != self && p.DominatesIn(e.tuple.Point, dims) && !fn(e.tuple) {
-					return false
-				}
-				continue
-			}
+		for i := 0; i < n.len(); i++ {
 			// A subtree can contain a tuple dominated by p only if p
 			// dominates-or-equals the subtree's far (upper) corner
 			// projection: every stored point is <= rect.Hi componentwise,
 			// so if p exceeds rect.Hi on a compared dimension, p cannot
-			// dominate anything inside.
-			if p.DominatesOrEqual(e.rect.Hi, dims) && !walk(e.child) {
+			// dominate anything inside. For a leaf entry the corner is the
+			// point itself, and the test is dominance proper.
+			le, lt := geom.Dominance(p, n.hiRow(i, d), dims)
+			if !le {
+				continue
+			}
+			if n.leaf {
+				if lt && n.ids[i] != self && !fn(n.tuple(i, d)) {
+					return false
+				}
+				continue
+			}
+			if !walk(n.children[i]) {
 				return false
 			}
 		}
@@ -51,38 +55,39 @@ func (t *Tree) dominated(p geom.Point, dims []int, self uncertain.TupleID, fn fu
 func (t *Tree) DominatedCandidates(p geom.Point, dims []int, self uncertain.TupleID, q float64, fn func(uncertain.SkylineMember) bool) {
 	if q <= 0 {
 		// Degenerate threshold: fall back to the unpruned walk.
-		t.dominated(p, dims, self, func(tu uncertain.Tuple) bool {
-			return fn(uncertain.SkylineMember{Tuple: tu.Clone(), Prob: t.SkyProb(tu, dims)})
+		t.Dominated(p, dims, self, func(tu uncertain.Tuple) bool {
+			return fn(uncertain.SkylineMember{Tuple: tu, Prob: t.SkyProb(tu, dims)})
 		})
 		return
 	}
+	if len(p) != t.dims {
+		return
+	}
+	d := t.dims
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if n.leaf {
-				if e.tuple.ID == self || !p.DominatesIn(e.tuple.Point, dims) {
-					continue
+		for i := 0; i < n.len(); i++ {
+			le, lt := geom.Dominance(p, n.hiRow(i, d), dims)
+			if !le {
+				continue // nothing inside can be dominated by p
+			}
+			if !n.leaf {
+				if t.bound(n, i, dims) < q {
+					continue // no tuple inside can reach the threshold
 				}
-				if e.tuple.Prob < q {
-					continue // cheap upper bound: P_sky <= P(t)
-				}
-				if prob := t.SkyProb(e.tuple, dims); prob >= q {
-					if !fn(uncertain.SkylineMember{Tuple: e.tuple.Clone(), Prob: prob}) {
-						return false
-					}
+				if !walk(n.children[i]) {
+					return false
 				}
 				continue
 			}
-			if !p.DominatesOrEqual(e.rect.Hi, dims) {
-				continue // nothing inside can be dominated by p
+			if !lt || n.ids[i] == self || n.prob[i] < q {
+				continue // n.prob[i] < q is the cheap bound P_sky <= P(t)
 			}
-			probe := uncertain.Tuple{ID: uncertain.NoTuple, Point: e.rect.Lo, Prob: 1}
-			if e.pmax*t.CrossSkyProb(probe, dims) < q {
-				continue // no tuple inside can reach the threshold
-			}
-			if !walk(e.child) {
-				return false
+			row := n.row(i, d)
+			if prob := n.prob[i] * t.cross(t.root, row, n.ids[i], dims, 1); prob >= q {
+				if !fn(uncertain.SkylineMember{Tuple: n.tuple(i, d), Prob: prob}) {
+					return false
+				}
 			}
 		}
 		return true

@@ -1,8 +1,6 @@
 package prtree
 
 import (
-	"container/heap"
-
 	"repro/internal/uncertain"
 )
 
@@ -34,63 +32,92 @@ func (t *Tree) LocalSkyline(q float64, dims []int) []uncertain.SkylineMember {
 // paper's descending-probability order should collect and sort (as
 // LocalSkyline does).
 func (t *Tree) LocalSkylineFunc(q float64, dims []int, fn func(uncertain.SkylineMember) bool) {
-	if t.size == 0 || q <= 0 {
-		if q <= 0 && t.size > 0 {
-			// q <= 0 qualifies everything; still report exact probabilities.
-			t.All(func(tu uncertain.Tuple) bool {
-				return fn(uncertain.SkylineMember{Tuple: tu.Clone(), Prob: t.SkyProb(tu, dims)})
-			})
-		}
+	if t.size == 0 {
+		return
+	}
+	if q <= 0 {
+		// q <= 0 qualifies everything; still report exact probabilities.
+		t.All(func(tu uncertain.Tuple) bool {
+			return fn(uncertain.SkylineMember{Tuple: tu, Prob: t.SkyProb(tu, dims)})
+		})
 		return
 	}
 
-	h := &entryHeap{}
-	heap.Init(h)
-	push := func(e *entry) {
+	d := t.dims
+	var h entryHeap
+	push := func(n *node, i int) {
 		// Subtree-level threshold prune (leaf entries get the exact test).
-		if e.child != nil {
-			probe := uncertain.Tuple{ID: uncertain.NoTuple, Point: e.rect.Lo, Prob: 1}
-			if e.pmax*t.CrossSkyProb(probe, dims) < q {
-				return
-			}
+		if !n.leaf && t.bound(n, i, dims) < q {
+			return
 		}
-		heap.Push(h, heapItem{dist: e.rect.MinDist(dims), e: e})
+		h.push(heapItem{dist: n.rect(i, d).MinDist(dims), n: n, i: i})
 	}
-	for i := range t.root.entries {
-		push(&t.root.entries[i])
+	for i := 0; i < t.root.len(); i++ {
+		push(t.root, i)
 	}
-	for h.Len() > 0 {
-		item := heap.Pop(h).(heapItem)
-		e := item.e
-		if e.child != nil {
-			for i := range e.child.entries {
-				push(&e.child.entries[i])
+	for len(h) > 0 {
+		it := h.pop()
+		n, i := it.n, it.i
+		if !n.leaf {
+			c := n.children[i]
+			for j := 0; j < c.len(); j++ {
+				push(c, j)
 			}
 			continue
 		}
-		if p := t.SkyProb(e.tuple, dims); p >= q {
-			if !fn(uncertain.SkylineMember{Tuple: e.tuple.Clone(), Prob: p}) {
+		if p := n.prob[i] * t.cross(t.root, n.row(i, d), n.ids[i], dims, 1); p >= q {
+			if !fn(uncertain.SkylineMember{Tuple: n.tuple(i, d), Prob: p}) {
 				return
 			}
 		}
 	}
 }
 
+// heapItem is one queued entry: entry i of node n at BBS priority dist.
 type heapItem struct {
 	dist float64
-	e    *entry
+	n    *node
+	i    int
 }
 
+// entryHeap is a binary min-heap on dist. Its sift-up and sift-down are
+// container/heap's, step for step, so equal-priority entries pop in the
+// same order; it is typed so that a push does not box its item.
 type entryHeap []heapItem
 
-func (h entryHeap) Len() int            { return len(h) }
-func (h entryHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h entryHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *entryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+func (h *entryHeap) push(it heapItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *entryHeap) pop() heapItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].dist < s[j1].dist {
+			j = j2
+		}
+		if !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	it := s[n]
+	*h = s[:n]
 	return it
 }

@@ -371,3 +371,17 @@ func TestCapacityFallback(t *testing.T) {
 		t.Fatalf("capacity fallback = %d, want %d", tr.max, DefaultCapacity)
 	}
 }
+
+// One copy of each point: a bulk-loaded tree over 160k 3-d tuples (one
+// benchmark workload's data) keeps at most 82 B per tuple live. A leaf
+// needs 40 B per tuple (three coordinates, an ID and a probability); the
+// rest is room for node headers and the interior levels, and far below
+// what three copies of each point in per-tuple structs would take.
+func TestBulkHeapPerTuple(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates 160k tuples")
+	}
+	if got := bulkHeapPerTuple(benchDB(160000, 3)); got > 82 {
+		t.Fatalf("bulk-loaded tree keeps %.1f B per tuple, want <= 82", got)
+	}
+}

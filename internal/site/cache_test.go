@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/prtree"
@@ -334,6 +335,53 @@ func BenchmarkHandleInit(b *testing.B) {
 					eng.mu.Unlock()
 				}
 				if _, err := eng.Handle(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHandleEvaluate measures one feedback Evaluate (CrossSkyProb
+// plus the Observation-2 prune of the session's remaining skyline) at a
+// site holding one proto-cpu partition: 5000 anticorrelated 3-d tuples.
+// Feedback tuples are another partition's local skyline, as a coordinator
+// would broadcast them; the session is re-initialised (a cache hit) each
+// time the feedback list wraps, so pruning reaches a steady state.
+func BenchmarkHandleEvaluate(b *testing.B) {
+	part := func(seed int64, first uncertain.TupleID) uncertain.DB {
+		db, err := gen.Generate(gen.Config{N: 5000, Dims: 3, Values: gen.Anticorrelated,
+			Probs: gen.UniformProb, Seed: seed, FirstID: first})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return db
+	}
+	eng := New(0, part(7, 1), 3, 0)
+	other := prtree.Bulk(part(8, 100001), 3, 0)
+	for _, bc := range []struct {
+		name string
+		dims []int
+	}{{"full", nil}, {"dims=01", []int{0, 1}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			query := transport.Query{Threshold: 0.3, Dims: bc.dims}
+			feeds := other.LocalSkyline(query.Threshold, bc.dims)
+			initReq := &transport.Request{Kind: transport.KindInit, Session: 1, Query: query}
+			evals := make([]*transport.Request, len(feeds))
+			for i, m := range feeds {
+				evals[i] = &transport.Request{Kind: transport.KindEvaluate, Session: 1, Query: query,
+					Feed: transport.Feedback{Tuple: m.Tuple, HomeLocalProb: m.Prob}}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%len(evals) == 0 {
+					if _, err := eng.Handle(ctx, initReq); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := eng.Handle(ctx, evals[i%len(evals)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/obs/slo"
@@ -49,6 +50,10 @@ type session struct {
 	// sky is the not-yet-shipped suffix of SKY(D_i), kept sorted by
 	// descending local skyline probability (ties: ascending ID).
 	sky []uncertain.SkylineMember
+	// rows holds sky's points as flat rows of the data's dimensionality,
+	// in sky's order: the Observation-2 prune runs the dominance kernel
+	// over them.
+	rows []float64
 	// pruned counts local skyline tuples discarded by feedback.
 	pruned int
 	// shipped counts representatives handed to the coordinator; start
@@ -169,11 +174,13 @@ type dedupState struct {
 }
 
 // skylineEntry is one cached local skyline: the LocalSkyline result at
-// threshold floor, sorted by descending probability (ties: ascending ID).
-// Its members are never mutated; sessions get copies of its prefixes.
+// threshold floor, sorted by descending probability (ties: ascending ID),
+// and its points as flat rows. It is never mutated; sessions get copies
+// of its prefixes.
 type skylineEntry struct {
 	floor float64
 	sky   []uncertain.SkylineMember
+	rows  []float64
 }
 
 type dedupOutcome struct {
@@ -380,41 +387,48 @@ func (e *Engine) handleInit(req *transport.Request) (*transport.Response, error)
 			return nil, fmt.Errorf("site %d: session limit (%d) reached", e.id, MaxSessions)
 		}
 	}
+	sky, rows := e.localSkyline(req.Query.Threshold, req.Query.Dims)
 	e.sessions[req.Session] = &session{
 		query:   req.Query,
-		sky:     e.localSkyline(req.Query.Threshold, req.Query.Dims),
+		sky:     sky,
+		rows:    rows,
 		start:   now,
 		queryID: req.Trace.TraceID,
 	}
 	return e.handleNext(req)
 }
 
-// localSkyline returns a private copy of SKY(D_i, q) in dims. A cached
-// search at a threshold floor <= q answers with its prefix of members
-// with Prob >= q; otherwise the PR-tree is searched and the result becomes
-// the subspace's new floor. The copy matters: Observation-2 pruning
-// compacts a session's slice in place.
-func (e *Engine) localSkyline(q float64, dims []int) []uncertain.SkylineMember {
-	key := skylineKey(dims, e.index.Dims())
+// localSkyline returns a private copy of SKY(D_i, q) in dims and of its
+// points' rows. A cached search at a threshold floor <= q answers with its
+// prefix of members with Prob >= q; otherwise the PR-tree is searched and
+// the result becomes the subspace's new floor. The copy matters:
+// Observation-2 pruning compacts a session's slices in place.
+func (e *Engine) localSkyline(q float64, dims []int) ([]uncertain.SkylineMember, []float64) {
+	d := e.index.Dims()
+	key := skylineKey(dims, d)
 	if ent, ok := e.skyCache[key]; ok && ent.floor <= q {
 		sp := e.startSpan("skyline-cache-hit")
 		n := sort.Search(len(ent.sky), func(i int) bool { return ent.sky[i].Prob < q })
 		sp.end(int64(n), 0)
 		e.obsCacheHits.Inc()
-		return slices.Clone(ent.sky[:n])
+		return slices.Clone(ent.sky[:n]), slices.Clone(ent.rows[:n*d])
 	}
 	e.obsCacheMiss.Inc()
 	sp := e.startSpan("prtree-search")
 	sky := e.index.LocalSkyline(q, dims)
 	sp.end(int64(len(sky)), 0)
+	rows := make([]float64, 0, len(sky)*d)
+	for _, m := range sky {
+		rows = append(rows, m.Tuple.Point...)
+	}
 	if _, ok := e.skyCache[key]; !ok && len(e.skyCache) >= maxSkylineCache {
 		for k := range e.skyCache {
 			delete(e.skyCache, k)
 			break
 		}
 	}
-	e.skyCache[key] = skylineEntry{floor: q, sky: sky}
-	return slices.Clone(sky)
+	e.skyCache[key] = skylineEntry{floor: q, sky: sky, rows: rows}
+	return slices.Clone(sky), slices.Clone(rows)
 }
 
 // skylineKey canonicalises a validated subspace for the skyline cache:
@@ -453,6 +467,7 @@ func (e *Engine) handleNext(req *transport.Request) (*transport.Response, error)
 	}
 	head := s.sky[0]
 	s.sky = s.sky[1:]
+	s.rows = s.rows[e.index.Dims():]
 	s.shipped++
 	return &transport.Response{
 		Rep: transport.Representative{Tuple: head.Tuple, LocalProb: head.Prob},
@@ -502,6 +517,8 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 	if s != nil {
 		dims = s.query.Dims
 		s.touched = time.Now().UnixNano()
+	} else if err := e.checkDims(dims); err != nil {
+		return nil, err
 	}
 	cp := e.startSpan("cross-prob")
 	cross := e.index.CrossSkyProb(feed.Tuple, dims)
@@ -510,16 +527,22 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 	if s != nil && !s.query.NoPrune && len(s.sky) > 0 {
 		sp := e.startSpan("obs2-prune")
 		homeFactor := feed.HomeLocalProb / feed.Tuple.Prob * (1 - feed.Tuple.Prob)
-		kept := s.sky[:0]
-		for _, cand := range s.sky {
-			if feed.Tuple.Dominates(cand.Tuple, dims) &&
+		d := e.index.Dims()
+		kept := 0 // s.sky[:kept] and s.rows[:kept*d] are the survivors
+		for i, cand := range s.sky {
+			row := s.rows[i*d : (i+1)*d]
+			if le, lt := geom.Dominance(feed.Tuple.Point, row, dims); le && lt &&
 				(e.forceBadPrune || cand.Prob*homeFactor < s.query.Threshold) {
 				pruned++
 				continue
 			}
-			kept = append(kept, cand)
+			if kept != i {
+				s.sky[kept] = cand
+				copy(s.rows[kept*d:], row)
+			}
+			kept++
 		}
-		s.sky = kept
+		s.sky, s.rows = s.sky[:kept], s.rows[:kept*d]
 		s.pruned += pruned
 		e.obsPruned.Add(int64(pruned))
 		sp.end(int64(pruned), 0)
@@ -531,11 +554,23 @@ func (e *Engine) handleEvaluate(req *transport.Request) (*transport.Response, er
 	return resp, nil
 }
 
+// checkDims rejects a subspace mask that is not valid for the data's
+// dimensionality. Requests that carry no session (sessionless Evaluate,
+// Insert, Candidates) pass their own mask to the PR-tree, whose kernel
+// indexes rows by it unchecked. Query.Validate is not used here because
+// inserts legitimately carry threshold 0.
+func (e *Engine) checkDims(dims []int) error {
+	if !geom.ValidDims(dims, e.index.Dims()) {
+		return fmt.Errorf("site %d: invalid subspace %v for dimensionality %d", e.id, dims, e.index.Dims())
+	}
+	return nil
+}
+
 // handleShipAll returns the whole partition (baseline algorithm).
 func (e *Engine) handleShipAll() (*transport.Response, error) {
 	out := make([]transport.Representative, 0, e.index.Len())
 	e.index.All(func(tu uncertain.Tuple) bool {
-		out = append(out, transport.Representative{Tuple: tu.Clone()})
+		out = append(out, transport.Representative{Tuple: tu})
 		return true
 	})
 	return &transport.Response{Tuples: out}, nil
@@ -548,6 +583,9 @@ func (e *Engine) handleShipAll() (*transport.Response, error) {
 func (e *Engine) handleInsert(req *transport.Request) (*transport.Response, error) {
 	if err := req.Tuple.Validate(e.index.Dims()); err != nil {
 		return nil, fmt.Errorf("site %d: bad insert: %w", e.id, err)
+	}
+	if err := e.checkDims(req.Query.Dims); err != nil {
+		return nil, err
 	}
 	e.index.Insert(req.Tuple)
 	clear(e.skyCache)
@@ -613,6 +651,9 @@ func (e *Engine) handleDelete(req *transport.Request) (*transport.Response, erro
 func (e *Engine) handleCandidates(req *transport.Request) (*transport.Response, error) {
 	if !(req.Query.Threshold > 0 && req.Query.Threshold <= 1) {
 		return nil, fmt.Errorf("site %d: candidates need a threshold, got %v", e.id, req.Query.Threshold)
+	}
+	if err := e.checkDims(req.Query.Dims); err != nil {
+		return nil, err
 	}
 	var out []transport.Representative
 	e.index.DominatedCandidates(req.Feed.Tuple.Point, req.Query.Dims, req.Feed.Tuple.ID,

@@ -173,6 +173,64 @@ func TestEvaluateRejectsBadFeedback(t *testing.T) {
 	}
 }
 
+// Requests without a session hand their own subspace mask to the
+// PR-tree, so the site must reject a mask that is not valid for its data:
+// out of range, negative or duplicated dimensions. A nil mask (the full
+// space) and a valid subspace pass.
+func TestSessionlessRequestsValidateDims(t *testing.T) {
+	masks := []struct {
+		name string
+		dims []int
+		ok   bool
+	}{
+		{"nil", nil, true},
+		{"valid", []int{0, 2}, true},
+		{"out of range", []int{7}, false},
+		{"negative", []int{-1}, false},
+		{"duplicate", []int{1, 1}, false},
+	}
+	feed := uncertain.Tuple{ID: 1000, Point: geom.Point{0.5, 0.5, 0.5}, Prob: 0.5}
+	kinds := []struct {
+		name string
+		req  func(dims []int, id uncertain.TupleID) *transport.Request
+	}{
+		{"evaluate", func(dims []int, _ uncertain.TupleID) *transport.Request {
+			return &transport.Request{Kind: transport.KindEvaluate, Session: 99,
+				Feed: transport.Feedback{Tuple: feed, HomeLocalProb: 0.5}, Query: transport.Query{Dims: dims}}
+		}},
+		{"insert", func(dims []int, id uncertain.TupleID) *transport.Request {
+			return &transport.Request{Kind: transport.KindInsert,
+				Tuple: uncertain.Tuple{ID: id, Point: geom.Point{0.4, 0.4, 0.4}, Prob: 0.6},
+				Query: transport.Query{Dims: dims}}
+		}},
+		{"candidates", func(dims []int, _ uncertain.TupleID) *transport.Request {
+			return &transport.Request{Kind: transport.KindCandidates,
+				Feed: transport.Feedback{Tuple: feed}, Query: transport.Query{Threshold: 0.3, Dims: dims}}
+		}},
+	}
+	r := rand.New(rand.NewSource(58))
+	eng := New(0, randomPart(r, 50, 3), 3, 0)
+	nextID := uncertain.TupleID(500)
+	for _, k := range kinds {
+		for _, m := range masks {
+			t.Run(k.name+"/"+m.name, func(t *testing.T) {
+				nextID++
+				before := eng.Len()
+				_, err := eng.Handle(context.Background(), k.req(m.dims, nextID))
+				if m.ok && err != nil {
+					t.Fatalf("mask %v rejected: %v", m.dims, err)
+				}
+				if !m.ok && err == nil {
+					t.Fatalf("mask %v accepted", m.dims)
+				}
+				if !m.ok && eng.Len() != before {
+					t.Fatal("a rejected insert changed the index")
+				}
+			})
+		}
+	}
+}
+
 func TestShipAll(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	part := randomPart(r, 64, 2)

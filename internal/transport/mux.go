@@ -148,8 +148,9 @@ func NewMuxClient(conn net.Conn) *MuxClient {
 // every in-flight call fails with it, and subsequent calls are refused
 // until the owner (usually a Retry client) discards and redials.
 func (c *MuxClient) readLoop() {
+	r := frameReader{br: bufio.NewReader(c.conn)}
 	for {
-		fr, n, err := codec.ReadFrame(c.conn)
+		fr, n, err := r.next()
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", errMuxBroken, err))
 			return
@@ -186,6 +187,27 @@ func (c *MuxClient) readLoop() {
 			ch <- res // buffered; a cancelled caller simply never reads it
 		}
 	}
+}
+
+// maxReusedFrame caps the body buffer a frameReader keeps between frames,
+// so one large response (a whole partition) is not held for the
+// connection's lifetime.
+const maxReusedFrame = 64 << 10
+
+// frameReader reads frames through a buffered reader into one reused body
+// buffer. A frame's payload is valid only until the next call; the
+// response and telemetry decoders copy every field they keep.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+func (r *frameReader) next() (codec.Frame, int, error) {
+	fr, buf, n, err := codec.ReadFrameBuf(r.br, r.buf)
+	if cap(buf) <= maxReusedFrame {
+		r.buf = buf
+	}
+	return fr, n, err
 }
 
 // fail marks the connection dead and errors out every in-flight call.

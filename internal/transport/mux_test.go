@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -389,5 +390,60 @@ func TestRetryOverMuxRedials(t *testing.T) {
 	}
 	if st := rc.Stats(); st.Redials < 1 {
 		t.Fatalf("expected at least one redial, stats: %+v", st)
+	}
+}
+
+// loopReader replays one byte stream forever without allocating.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.off:])
+	r.off = (r.off + n) % len(r.data)
+	return n, nil
+}
+
+// In steady state the mux client's read path — one buffered frame read
+// into the reused body buffer, then the response decode — allocates
+// nothing for a response without slices (an Evaluate's answer).
+func TestMuxReadPathZeroAlloc(t *testing.T) {
+	resp := &Response{CrossProb: 0.25, Pruned: 3, SessionPruned: 7}
+	frame := codec.AppendFrame(nil, codec.FrameResponse, 42, AppendResponse(nil, resp, ""))
+	r := frameReader{br: bufio.NewReader(&loopReader{data: bytes.Repeat(frame, 3)})}
+	var got Response
+	read := func() {
+		fr, n, err := r.next()
+		if err != nil || n != len(frame) || fr.ID != 42 {
+			t.Fatalf("frame %+v, %d bytes, err %v", fr, n, err)
+		}
+		if _, err := DecodeResponse(fr.Payload, &got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // sizes the reused buffer
+	if n := testing.AllocsPerRun(1000, read); n != 0 {
+		t.Fatalf("steady-state frame read allocates %v/op", n)
+	}
+	if got.CrossProb != resp.CrossProb || got.Pruned != resp.Pruned || got.SessionPruned != resp.SessionPruned {
+		t.Fatalf("decoded %+v, want %+v", got, *resp)
+	}
+}
+
+// A frame larger than maxReusedFrame is read whole but its buffer is not
+// kept, and the next small frame still reads correctly.
+func TestMuxReadPathDropsLargeBuffer(t *testing.T) {
+	big := codec.AppendFrame(nil, codec.FrameResponse, 1, make([]byte, maxReusedFrame+1))
+	small := codec.AppendFrame(nil, codec.FrameResponse, 2, nil)
+	r := frameReader{br: bufio.NewReader(bytes.NewReader(append(big, small...)))}
+	if fr, _, err := r.next(); err != nil || fr.ID != 1 || len(fr.Payload) != maxReusedFrame+1 {
+		t.Fatalf("big frame: id %d, %d payload bytes, err %v", fr.ID, len(fr.Payload), err)
+	}
+	if cap(r.buf) > maxReusedFrame {
+		t.Fatalf("kept a %d-byte buffer", cap(r.buf))
+	}
+	if fr, _, err := r.next(); err != nil || fr.ID != 2 || len(fr.Payload) != 0 {
+		t.Fatalf("small frame: id %d, %d payload bytes, err %v", fr.ID, len(fr.Payload), err)
 	}
 }
